@@ -1,7 +1,8 @@
 //! Pre-resolved protocol counters (the broker's milestone accounting).
 
 use netsim::engine::Context;
-use netsim::metrics::{MetricId, Metrics};
+use netsim::metrics::{GaugeId, MetricId, Metrics};
+use netsim::node::NodeId;
 
 use crate::message::OverlayMsg;
 
@@ -62,6 +63,31 @@ impl BrokerCounters {
             forwards_received: metrics.counter_id("overlay.forwards_received"),
             forwards_served: metrics.counter_id("overlay.forwards_served"),
             forwards_exhausted: metrics.counter_id("overlay.forwards_exhausted"),
+        }
+    }
+}
+
+/// Interned handles for the registry footprint gauges one broker
+/// publishes each gossip tick: `registry.bytes.{node}`,
+/// `registry.peers.{node}` and one `registry.{component}_bytes.{node}` per
+/// [`crate::footprint::FootprintBreakdown::components`] entry, in that order.
+#[derive(Clone, Copy)]
+pub(crate) struct FootprintGauges {
+    pub(crate) bytes: GaugeId,
+    pub(crate) peers: GaugeId,
+    pub(crate) components: [GaugeId; 6],
+}
+
+impl FootprintGauges {
+    pub(crate) fn resolve(metrics: &mut Metrics, broker: NodeId) -> Self {
+        let node = broker.index();
+        let mut gauge = |name: String| metrics.gauge_id(&name);
+        FootprintGauges {
+            bytes: gauge(format!("registry.bytes.{node}")),
+            peers: gauge(format!("registry.peers.{node}")),
+            components: crate::footprint::FootprintBreakdown::default()
+                .components()
+                .map(|(component, _)| gauge(format!("registry.{component}_bytes.{node}"))),
         }
     }
 }

@@ -54,7 +54,7 @@ use crate::records::RecordSink;
 use crate::selector::{PeerSelector, Purpose};
 use crate::task::TaskPhase;
 
-use counters::BrokerCounters;
+use counters::{BrokerCounters, FootprintGauges};
 use registry::PeerRegistry;
 use retry::RetryEngine;
 use schedule::CommandSchedule;
@@ -229,6 +229,8 @@ pub struct Broker {
     pub(crate) retries: RetryEngine,
     pub(crate) tasks: TaskBook,
     pub(crate) counters: Option<BrokerCounters>,
+    /// Footprint gauge handles, resolved on the first gossip tick.
+    pub(crate) footprint_gauges: Option<FootprintGauges>,
     pub(crate) sink: RecordSink,
     /// Whether a scripted outage currently has this broker down: every
     /// inbound message is dropped and only the restart timer (plus the
@@ -255,6 +257,7 @@ impl Broker {
             retries: RetryEngine::new(),
             tasks: TaskBook::new(),
             counters: None,
+            footprint_gauges: None,
             sink,
             down: false,
             forward_rr: 0,

@@ -15,6 +15,7 @@
 //! entries stay cache-adjacent for the roster-snapshot scan that selection
 //! takes on every petition.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,11 +25,12 @@ use netsim::time::{SimDuration, SimTime};
 
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
 use crate::footprint::{map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint};
-use crate::id::PeerId;
+use crate::id::{IdMap, PeerId};
 use crate::message::OverlayMsg;
 use crate::selector::{CandidateView, InteractionHistory};
 use crate::stats::{PeerStats, StatsSnapshot};
 
+use super::counters::FootprintGauges;
 use super::Broker;
 
 /// Everything the broker tracks about one registered peer.
@@ -68,23 +70,26 @@ pub(crate) struct PeerRegistry {
     /// Free slot indices, reused LIFO so churn does not grow the slab.
     free: Vec<u32>,
     /// Registered peer → slab slot.
-    index: HashMap<PeerId, u32>,
-    by_node: HashMap<NodeId, PeerId>,
+    index: IdMap<PeerId, u32>,
+    by_node: IdMap<NodeId, PeerId>,
     /// Candidate views learnt from fellow brokers, keyed by peer.
-    remote_peers: HashMap<PeerId, RemoteView>,
+    remote_peers: IdMap<PeerId, RemoteView>,
+    /// Host → the remote peers whose views claim it, kept in step with
+    /// `remote_peers` so a departure purges exactly its host's claimants.
+    remote_by_node: IdMap<NodeId, Vec<PeerId>>,
     /// Departure tombstones: peers this broker saw leave, and when. A
     /// gossiped view older than the tombstone is a stale echo and must
     /// not resurrect the peer; a newer one proves it rejoined elsewhere
     /// and clears the tombstone.
-    departed: HashMap<PeerId, SimTime>,
+    departed: IdMap<PeerId, SimTime>,
     /// Last time each fellow broker was heard from (gossip or forwarded
     /// petitions): the heartbeat table failover liveness reads.
-    broker_heartbeats: HashMap<NodeId, SimTime>,
+    broker_heartbeats: IdMap<NodeId, SimTime>,
     /// Published content by name → holders.
     content: HashMap<String, Vec<Holding>>,
     /// Interned display names by host, so record keeping on the transfer
     /// and task hot paths clones an `Arc` instead of allocating a String.
-    names: HashMap<NodeId, Arc<str>>,
+    names: IdMap<NodeId, Arc<str>>,
 }
 
 impl PeerRegistry {
@@ -117,11 +122,6 @@ impl PeerRegistry {
     /// The registered peer living on `node`, if any.
     pub(crate) fn peer_of(&self, node: NodeId) -> Option<PeerId> {
         self.by_node.get(&node).copied()
-    }
-
-    /// Whether a registered peer currently occupies `node`.
-    pub(crate) fn node_occupied(&self, node: NodeId) -> bool {
-        self.by_node.contains_key(&node)
     }
 
     /// Shared access to a registered peer's entry.
@@ -168,7 +168,7 @@ impl PeerRegistry {
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) {
         let peer = adv.peer;
         let cpu = adv.cpu_gops;
-        self.remote_peers.remove(&peer);
+        self.forget_remote(peer);
         // First-hand readmission beats any departure we recorded earlier.
         self.departed.remove(&peer);
         // A host runs one peer: a Join from a node that already carries a
@@ -239,8 +239,8 @@ impl PeerRegistry {
     /// first-hand knowledge), or is a stale echo of a peer this broker
     /// already saw depart. A view *newer* than the departure tombstone
     /// proves the peer rejoined elsewhere and clears it. Returns whether
-    /// the view was stored.
-    pub(crate) fn learn_remote(&mut self, view: CandidateView, as_of: SimTime) -> bool {
+    /// the view was stored; only a stored view is copied.
+    pub(crate) fn learn_remote(&mut self, view: &CandidateView, as_of: SimTime) -> bool {
         if self.index.contains_key(&view.peer) || self.by_node.contains_key(&view.node) {
             return false;
         }
@@ -250,9 +250,54 @@ impl PeerRegistry {
             }
             self.departed.remove(&view.peer);
         }
-        self.remote_peers
-            .insert(view.peer, RemoteView { view, as_of });
+        let (peer, node) = (view.peer, view.node);
+        let stored = RemoteView {
+            view: view.clone(),
+            as_of,
+        };
+        match self.remote_peers.insert(peer, stored) {
+            Some(old) if old.view.node == node => {}
+            Some(old) => {
+                self.unclaim(old.view.node, peer);
+                self.claim(node, peer);
+            }
+            None => self.claim(node, peer),
+        }
         true
+    }
+
+    /// Adds `peer` to the claimants of `node`. Most hosts have exactly one
+    /// claimant, so a new host's list is allocated at capacity one.
+    fn claim(&mut self, node: NodeId, peer: PeerId) {
+        match self.remote_by_node.entry(node) {
+            Entry::Occupied(mut claims) => claims.get_mut().push(peer),
+            Entry::Vacant(slot) => {
+                slot.insert(vec![peer]);
+            }
+        }
+    }
+
+    /// Drops `peer`'s remote view, if any, and its claim on its host.
+    fn forget_remote(&mut self, peer: PeerId) {
+        if let Some(old) = self.remote_peers.remove(&peer) {
+            self.unclaim(old.view.node, peer);
+        }
+    }
+
+    /// Removes `peer` from the claimants of `node`.
+    fn unclaim(&mut self, node: NodeId, peer: PeerId) {
+        let claims = self
+            .remote_by_node
+            .get_mut(&node)
+            .expect("a stored remote view claims its host");
+        let at = claims
+            .iter()
+            .position(|&p| p == peer)
+            .expect("a stored remote view is among its host's claimants");
+        claims.swap_remove(at);
+        if claims.is_empty() {
+            self.remote_by_node.remove(&node);
+        }
     }
 
     /// Records that `peer` left this broker at `now`, so later gossip
@@ -277,10 +322,13 @@ impl PeerRegistry {
     }
 
     /// Forgets every federation view of `peer` and of anything claiming to
-    /// live on `node` (a departed peer must not survive as a rumor).
+    /// live on `node` (a departed peer must not survive as a rumor). Costs
+    /// O(claims on `node`): the host index names exactly the doomed views.
     pub(crate) fn purge_remote(&mut self, peer: PeerId, node: NodeId) {
-        self.remote_peers.remove(&peer);
-        self.remote_peers.retain(|_, v| v.view.node != node);
+        self.forget_remote(peer);
+        for claimant in self.remote_by_node.remove(&node).unwrap_or_default() {
+            self.remote_peers.remove(&claimant);
+        }
     }
 
     /// Number of federation-learnt (non-local) candidate views.
@@ -317,10 +365,45 @@ impl PeerRegistry {
             .flat_map(|(_, holdings)| holdings.iter())
     }
 
+    /// The candidate view of one registered peer: broker-side stats, with
+    /// queue gauges overridden by the peer's own latest report when
+    /// available.
+    fn local_view(entry: &PeerEntry, now: SimTime, stats_k_hours: usize) -> CandidateView {
+        let mut snapshot = entry.stats.snapshot(now, stats_k_hours);
+        if let Some(reported) = &entry.reported {
+            snapshot.inbox_now = reported.inbox_now;
+            snapshot.inbox_avg = reported.inbox_avg;
+            snapshot.outbox_now = reported.outbox_now;
+            snapshot.outbox_avg = reported.outbox_avg;
+        }
+        CandidateView {
+            peer: entry.adv.peer,
+            node: entry.adv.node,
+            name: entry.name.clone(),
+            cpu_gops: entry.adv.cpu_gops,
+            snapshot,
+            history: entry.history.clone(),
+        }
+    }
+
+    /// Views of the locally registered peers only, sorted by node (hosts
+    /// are unique among registered peers): what one gossip round sends,
+    /// built straight into the allocation every fellow broker's message
+    /// shares.
+    pub(crate) fn local_views(&self, now: SimTime, stats_k_hours: usize) -> Arc<[CandidateView]> {
+        let mut local: Vec<&PeerEntry> = self.entries().collect();
+        local.sort_unstable_by_key(|entry| entry.adv.node);
+        local
+            .into_iter()
+            .map(|entry| Self::local_view(entry, now, stats_k_hours))
+            .collect()
+    }
+
     /// Snapshot of every known candidate (registered + federation-learnt),
-    /// sorted by node for determinism. When `staleness` is set, gossiped
-    /// views older than that bound are left out: the stale-stat tolerance
-    /// window of the federation design.
+    /// sorted by `(node, peer)`, so the order never depends on map
+    /// iteration even when two remote views claim one host. When
+    /// `staleness` is set, gossiped views older than that bound are left
+    /// out: the stale-stat tolerance window of the federation design.
     pub(crate) fn candidate_views(
         &self,
         now: SimTime,
@@ -329,25 +412,7 @@ impl PeerRegistry {
     ) -> Vec<CandidateView> {
         let mut views: Vec<CandidateView> = self
             .entries()
-            .map(|entry| {
-                // Broker-side stats, with queue gauges overridden by the
-                // peer's own latest report when available.
-                let mut snapshot = entry.stats.snapshot(now, stats_k_hours);
-                if let Some(reported) = &entry.reported {
-                    snapshot.inbox_now = reported.inbox_now;
-                    snapshot.inbox_avg = reported.inbox_avg;
-                    snapshot.outbox_now = reported.outbox_now;
-                    snapshot.outbox_avg = reported.outbox_avg;
-                }
-                CandidateView {
-                    peer: entry.adv.peer,
-                    node: entry.adv.node,
-                    name: entry.name.clone(),
-                    cpu_gops: entry.adv.cpu_gops,
-                    snapshot,
-                    history: entry.history.clone(),
-                }
-            })
+            .map(|entry| Self::local_view(entry, now, stats_k_hours))
             .collect();
         // Merge federation-learnt peers that are not locally registered
         // and whose gossip snapshot is inside the staleness window.
@@ -362,12 +427,13 @@ impl PeerRegistry {
             }
             views.push(remote.view.clone());
         }
-        views.sort_by_key(|v| v.node);
+        views.sort_unstable_by_key(|v| (v.node, v.peer));
         views
     }
 
     /// Structural invariants, checked by tests after every mutation:
-    /// index↔slab agreement, peers↔by_node bijection, slot accounting.
+    /// index↔slab agreement, peers↔by_node bijection, slot accounting,
+    /// and exact agreement of the host index with the remote views.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         let occupied = self.entries.iter().filter(|e| e.is_some()).count();
@@ -392,11 +458,31 @@ impl PeerRegistry {
             let entry = self.entry(peer).expect("by_node points at a member");
             assert_eq!(entry.adv.node, node, "no stale node mapping");
         }
-        for remote in self.remote_peers.values() {
+        for (&peer, remote) in &self.remote_peers {
             assert!(
-                !self.index.contains_key(&remote.view.peer),
+                !self.index.contains_key(&peer),
                 "a registered peer is never also a federation rumor"
             );
+            assert_eq!(remote.view.peer, peer, "remote view agrees with its key");
+            let claims = self
+                .remote_by_node
+                .get(&remote.view.node)
+                .expect("every remote view's host is indexed");
+            assert_eq!(
+                claims.iter().filter(|&&p| p == peer).count(),
+                1,
+                "a remote view claims its host exactly once"
+            );
+        }
+        for (node, claims) in &self.remote_by_node {
+            assert!(!claims.is_empty(), "no empty claim list outlives its host");
+            for claimant in claims {
+                let remote = self
+                    .remote_peers
+                    .get(claimant)
+                    .expect("every claimant has a remote view");
+                assert_eq!(remote.view.node, *node, "no stale host claim");
+            }
         }
         for peer in self.departed.keys() {
             assert!(
@@ -420,6 +506,8 @@ impl MemoryFootprint for PeerRegistry {
                 + map_estimate::<NodeId, PeerId>(self.by_node.len())
                 + map_estimate::<NodeId, Arc<str>>(self.names.len()),
             gossip: map_estimate::<PeerId, RemoteView>(self.remote_peers.len())
+                + map_estimate::<NodeId, Vec<PeerId>>(self.remote_by_node.len())
+                + slots_estimate::<PeerId>(self.remote_peers.len())
                 + map_estimate::<PeerId, SimTime>(self.departed.len())
                 + map_estimate::<NodeId, SimTime>(self.broker_heartbeats.len()),
             ..FootprintBreakdown::default()
@@ -539,11 +627,11 @@ impl Broker {
         ctx: &mut Context<OverlayMsg>,
         from_broker: NodeId,
         sent_at: SimTime,
-        roster: Vec<CandidateView>,
+        roster: Arc<[CandidateView]>,
     ) {
         self.registry.note_broker_alive(from_broker, ctx.now());
         let mut dropped = 0u64;
-        for view in roster {
+        for view in roster.iter() {
             // Never shadow a locally-registered peer with a relay, and
             // never resurrect one this broker already saw depart.
             if !self.registry.learn_remote(view, sent_at) {
@@ -556,22 +644,18 @@ impl Broker {
 
     pub(crate) fn on_gossip_timer(&mut self, ctx: &mut Context<OverlayMsg>) {
         let now = ctx.now();
-        let roster =
-            self.registry
-                .candidate_views(now, self.cfg.stats_k_hours, self.cfg.staleness_bound);
-        // Only gossip locally-registered peers (avoid relaying relays).
-        let local: Vec<CandidateView> = roster
-            .into_iter()
-            .filter(|v| self.registry.node_occupied(v.node))
-            .collect();
+        // Only locally-registered peers are gossiped (relays are never
+        // relayed). The round's snapshot is built once; every fellow
+        // broker's message shares it.
+        let roster = self.registry.local_views(now, self.cfg.stats_k_hours);
         let me = ctx.self_id();
-        for &b in &self.cfg.peer_brokers.clone() {
+        for &b in &self.cfg.peer_brokers {
             ctx.send(
                 b,
                 OverlayMsg::BrokerGossip {
                     from_broker: me,
                     sent_at: now,
-                    roster: local.clone(),
+                    roster: Arc::clone(&roster),
                 },
             );
         }
@@ -579,406 +663,22 @@ impl Broker {
         // cadence. Gauge names carry this broker's node index: gauges sum
         // by name across shards, so unique-per-broker names reconstruct
         // each broker's last-set value in the merged metrics, and the
-        // `registry.bytes.` prefix sums them fleet-wide.
+        // `registry.bytes.` prefix sums them fleet-wide. The handles are
+        // resolved on the first tick, so a broker that never gossips
+        // publishes no footprint gauges at all.
         let fp = self.registry.memory_footprint();
-        let node = ctx.self_id().index();
-        ctx.metrics()
-            .set_gauge(&format!("registry.bytes.{node}"), fp.total() as f64);
-        ctx.metrics().set_gauge(
-            &format!("registry.peers.{node}"),
-            self.registry.peer_count() as f64,
-        );
-        for (component, bytes) in fp.components() {
-            ctx.metrics()
-                .set_gauge(&format!("registry.{component}_bytes.{node}"), bytes as f64);
+        let gauges = *self
+            .footprint_gauges
+            .get_or_insert_with(|| FootprintGauges::resolve(ctx.metrics(), me));
+        let metrics = ctx.metrics();
+        metrics.set_gauge_id(gauges.bytes, fp.total() as f64);
+        metrics.set_gauge_id(gauges.peers, self.registry.peer_count() as f64);
+        for (&id, (_, bytes)) in gauges.components.iter().zip(fp.components()) {
+            metrics.set_gauge_id(id, bytes as f64);
         }
         ctx.schedule_timer(self.cfg.gossip_interval, super::GOSSIP_TAG);
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::advertisement::DEFAULT_LIFETIME;
-    use crate::id::IdGenerator;
-    use netsim::rng::SimRng;
-    use netsim::time::SimDuration;
-
-    fn adv(ids: &mut IdGenerator, node: u32, name: &str, now: SimTime) -> PeerAdvertisement {
-        PeerAdvertisement {
-            peer: PeerId::generate(ids),
-            node: NodeId(node),
-            name: name.to_string(),
-            cpu_gops: 1.0,
-            accepts_tasks: true,
-            published: now,
-            lifetime: DEFAULT_LIFETIME,
-        }
-    }
-
-    #[test]
-    fn admit_then_expel_evicts_both_indices() {
-        let mut ids = IdGenerator::new(1);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 1, "alpha", SimTime::ZERO);
-        let peer = a.peer;
-        reg.admit(a, SimTime::ZERO);
-        assert_eq!(reg.peer_count(), 1);
-        assert!(reg.has_peer(peer));
-        assert_eq!(reg.peer_of(NodeId(1)), Some(peer));
-        assert!(reg.expel(peer));
-        assert_eq!(reg.peer_count(), 0);
-        assert_eq!(reg.peer_of(NodeId(1)), None);
-        assert!(!reg.expel(peer), "double eviction is a no-op");
-    }
-
-    #[test]
-    fn memory_footprint_tracks_population() {
-        let mut ids = IdGenerator::new(11);
-        let mut reg = PeerRegistry::new();
-        let empty = reg.memory_footprint();
-        assert_eq!(empty.total(), 0, "an empty registry costs nothing");
-
-        let a = adv(&mut ids, 1, "alpha", SimTime::ZERO);
-        let b = adv(&mut ids, 2, "beta", SimTime::ZERO);
-        let peer_a = a.peer;
-        reg.admit(a, SimTime::ZERO);
-        reg.admit(b, SimTime::ZERO);
-        let two = reg.memory_footprint();
-        assert!(two.roster > 0, "entry slots and indexes are counted");
-        assert!(two.stats > 0, "windowed-ratio rings are counted");
-        assert!(two.ads > 0, "advertisement names are counted");
-        assert_eq!(two.content, 0, "nothing published yet");
-        assert!(two.total() > empty.total());
-
-        // Eviction returns the slot to the free list: roster shrinks but
-        // keeps the slab (the slot stays allocated, plus the free entry).
-        reg.expel(peer_a);
-        let one = reg.memory_footprint();
-        assert!(one.total() < two.total(), "footprint follows the roster");
-        assert!(one.roster > 0);
-    }
-
-    #[test]
-    fn readmission_keeps_the_original_entry() {
-        // A duplicate Join (retransmission) must not reset accumulated
-        // stats/history: `admit` refreshes identity fields only.
-        let mut ids = IdGenerator::new(2);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 3, "beta", SimTime::ZERO);
-        let peer = a.peer;
-        reg.admit(a.clone(), SimTime::ZERO);
-        reg.entry_mut(peer).unwrap().history.transfers_completed = 7;
-        reg.admit(a, SimTime::ZERO + SimDuration::from_secs(9));
-        assert_eq!(
-            reg.entry_mut(peer).unwrap().history.transfers_completed,
-            7,
-            "re-join must not clear history"
-        );
-        assert_eq!(reg.peer_count(), 1);
-    }
-
-    #[test]
-    fn readmission_refreshes_advertisement_and_node_index() {
-        // THE churn bug this PR fixes: a peer that left and rejoined from a
-        // different host (new node, new capacity) must be re-indexed. The
-        // old code's `or_insert_with` kept the stale entry, leaving a
-        // dangling `by_node` key on the old host and stale `cpu_gops`.
-        let mut ids = IdGenerator::new(7);
-        let mut reg = PeerRegistry::new();
-        let first = adv(&mut ids, 4, "gamma", SimTime::ZERO);
-        let peer = first.peer;
-        reg.admit(first, SimTime::ZERO);
-        reg.entry_mut(peer).unwrap().history.transfers_completed = 3;
-
-        let rejoin = PeerAdvertisement {
-            peer,
-            node: NodeId(9),
-            name: "gamma-prime".to_string(),
-            cpu_gops: 2.5,
-            accepts_tasks: false,
-            published: SimTime::ZERO + SimDuration::from_secs(60),
-            lifetime: DEFAULT_LIFETIME,
-        };
-        reg.admit(rejoin, SimTime::ZERO + SimDuration::from_secs(60));
-        reg.check_invariants();
-
-        let entry = reg.entry(peer).unwrap();
-        assert_eq!(entry.adv.node, NodeId(9), "advertisement refreshed");
-        assert_eq!(entry.adv.cpu_gops, 2.5, "capacity refreshed");
-        assert_eq!(entry.stats.cpu_gops, 2.5, "stats see the new capacity");
-        assert_eq!(&*entry.name, "gamma-prime", "interned name refreshed");
-        assert!(!entry.adv.accepts_tasks);
-        assert_eq!(
-            entry.history.transfers_completed, 3,
-            "history survives the move"
-        );
-        assert_eq!(reg.peer_of(NodeId(9)), Some(peer), "new host indexed");
-        assert_eq!(reg.peer_of(NodeId(4)), None, "old host unmapped");
-        assert_eq!(reg.peer_count(), 1);
-    }
-
-    #[test]
-    fn admit_forgets_the_federation_rumor() {
-        // Once a peer registers locally it must stop being served from the
-        // remote roster, even if gossip advertised it first.
-        let mut ids = IdGenerator::new(11);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 2, "delta", SimTime::ZERO);
-        assert!(reg.learn_remote(
-            CandidateView {
-                peer: a.peer,
-                node: NodeId(2),
-                name: "delta".into(),
-                cpu_gops: 1.0,
-                snapshot: StatsSnapshot::empty(1.0),
-                history: InteractionHistory::empty(),
-            },
-            SimTime::ZERO,
-        ));
-        assert_eq!(reg.remote_count(), 1);
-        reg.admit(a, SimTime::ZERO);
-        reg.check_invariants();
-        assert_eq!(reg.remote_count(), 0);
-        assert_eq!(reg.candidate_views(SimTime::ZERO, 24, None).len(), 1);
-    }
-
-    #[test]
-    fn gossip_cannot_resurrect_a_departed_peer() {
-        // The federation bug this PR fixes: a gossip snapshot taken before
-        // a peer's departure used to re-enter the remote roster after the
-        // local broker had already seen the Leave, so selection kept
-        // offering a peer known to be gone.
-        let mut ids = IdGenerator::new(21);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 6, "zeta", SimTime::ZERO);
-        let peer = a.peer;
-        let node = a.node;
-        let view = CandidateView {
-            peer,
-            node,
-            name: "zeta".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        reg.admit(a, SimTime::ZERO);
-        let t5 = SimTime::ZERO + SimDuration::from_secs(5);
-        reg.expel(peer);
-        reg.purge_remote(peer, node);
-        reg.note_departed(peer, t5);
-        reg.check_invariants();
-
-        // A stale echo (snapshot taken at t=3 < departure at t=5) must be
-        // rejected and leave the tombstone in place.
-        let t3 = SimTime::ZERO + SimDuration::from_secs(3);
-        assert!(!reg.learn_remote(view.clone(), t3), "stale echo rejected");
-        assert_eq!(reg.remote_count(), 0);
-        assert!(reg.candidate_views(t5, 24, None).is_empty());
-        reg.check_invariants();
-
-        // A snapshot taken *after* the departure proves the peer rejoined
-        // elsewhere: accepted, tombstone cleared.
-        let t6 = SimTime::ZERO + SimDuration::from_secs(6);
-        assert!(reg.learn_remote(view, t6), "newer view clears tombstone");
-        assert_eq!(reg.remote_count(), 1);
-        reg.check_invariants();
-    }
-
-    #[test]
-    fn candidate_views_apply_the_staleness_window() {
-        let mut ids = IdGenerator::new(23);
-        let mut reg = PeerRegistry::new();
-        let fresh = CandidateView {
-            peer: PeerId::generate(&mut ids),
-            node: NodeId(11),
-            name: "fresh".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        let stale = CandidateView {
-            peer: PeerId::generate(&mut ids),
-            node: NodeId(12),
-            name: "stale".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        let now = SimTime::ZERO + SimDuration::from_secs(300);
-        assert!(reg.learn_remote(fresh, now - SimDuration::from_secs(60)));
-        assert!(reg.learn_remote(stale, now - SimDuration::from_secs(250)));
-        let bounded = reg.candidate_views(now, 24, Some(SimDuration::from_secs(120)));
-        assert_eq!(bounded.len(), 1, "only the fresh view survives");
-        assert_eq!(bounded[0].node, NodeId(11));
-        let unbounded = reg.candidate_views(now, 24, None);
-        assert_eq!(unbounded.len(), 2, "no bound, no filtering");
-    }
-
-    #[test]
-    fn broker_heartbeats_drive_liveness() {
-        let mut reg = PeerRegistry::new();
-        let now = SimTime::ZERO + SimDuration::from_secs(500);
-        let bound = SimDuration::from_secs(120);
-        assert!(
-            reg.broker_alive(NodeId(1), now, bound),
-            "never-heard brokers are presumed alive"
-        );
-        reg.note_broker_alive(NodeId(1), now - SimDuration::from_secs(60));
-        assert!(reg.broker_alive(NodeId(1), now, bound));
-        reg.note_broker_alive(NodeId(2), now - SimDuration::from_secs(200));
-        assert!(!reg.broker_alive(NodeId(2), now, bound), "silent too long");
-    }
-
-    #[test]
-    fn expelled_slots_are_recycled() {
-        // Churn must not grow the slab: N sequential join/leave cycles
-        // keep capacity at the concurrent-population high-water mark.
-        let mut ids = IdGenerator::new(5);
-        let mut reg = PeerRegistry::new();
-        for round in 0..100 {
-            let a = adv(&mut ids, round % 3, "cycled", SimTime::ZERO);
-            let peer = a.peer;
-            reg.admit(a, SimTime::ZERO);
-            reg.check_invariants();
-            reg.expel(peer);
-            reg.check_invariants();
-        }
-        assert_eq!(reg.peer_count(), 0);
-        assert_eq!(reg.slab_capacity(), 1, "slots recycled, slab stayed flat");
-    }
-
-    #[test]
-    fn candidate_views_sorted_and_federation_merged() {
-        let mut ids = IdGenerator::new(3);
-        let mut reg = PeerRegistry::new();
-        reg.admit(adv(&mut ids, 5, "e", SimTime::ZERO), SimTime::ZERO);
-        reg.admit(adv(&mut ids, 2, "b", SimTime::ZERO), SimTime::ZERO);
-        // A remote peer on an unregistered node is merged…
-        let remote = CandidateView {
-            peer: PeerId::generate(&mut ids),
-            node: NodeId(9),
-            name: "remote".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        reg.learn_remote(remote.clone(), SimTime::ZERO);
-        // …but one shadowing a registered node is not.
-        let shadow = CandidateView {
-            node: NodeId(5),
-            ..remote.clone()
-        };
-        reg.learn_remote(
-            CandidateView {
-                peer: PeerId::generate(&mut ids),
-                ..shadow
-            },
-            SimTime::ZERO,
-        );
-        let views = reg.candidate_views(SimTime::ZERO, 24, None);
-        let nodes: Vec<u32> = views.iter().map(|v| v.node.0).collect();
-        assert_eq!(nodes, vec![2, 5, 9], "sorted by node, shadow dropped");
-    }
-
-    #[test]
-    fn reported_snapshot_overrides_queue_gauges() {
-        let mut ids = IdGenerator::new(4);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 1, "g", SimTime::ZERO);
-        let peer = a.peer;
-        reg.admit(a, SimTime::ZERO);
-        let mut reported = StatsSnapshot::empty(1.0);
-        reported.inbox_now = 11.0;
-        reported.outbox_avg = 2.5;
-        reg.entry_mut(peer).unwrap().reported = Some(reported);
-        let views = reg.candidate_views(SimTime::ZERO, 24, None);
-        assert_eq!(views[0].snapshot.inbox_now, 11.0);
-        assert_eq!(views[0].snapshot.outbox_avg, 2.5);
-    }
-
-    #[test]
-    fn random_churn_preserves_registry_invariants() {
-        // Property test: a long random interleaving of join / leave /
-        // rejoin-elsewhere must keep the slab index, the peers↔by_node
-        // bijection, and every advertisement field coherent. Before the
-        // admit-refresh fix this trips within a handful of steps.
-        let mut rng = SimRng::new(0xC0FF_EE07);
-        let mut ids = IdGenerator::new(6);
-        let mut reg = PeerRegistry::new();
-        // Pool of identities that join, leave, and rejoin from new hosts.
-        let mut pool: Vec<PeerAdvertisement> = (0..24)
-            .map(|i| adv(&mut ids, 1000 + i, &format!("p{i}"), SimTime::ZERO))
-            .collect();
-        let mut member = vec![false; pool.len()];
-        for step in 0..2000u64 {
-            let now = SimTime::from_secs_f64(step as f64);
-            let i = rng.below(pool.len() as u64) as usize;
-            match rng.below(4) {
-                0 | 1 => {
-                    // (Re)join, usually from a brand-new host with fresh
-                    // capacity — the churn case that used to dangle.
-                    if rng.bernoulli(0.8) {
-                        pool[i].node = NodeId(2000 + rng.below(4000) as u32);
-                        pool[i].cpu_gops = 0.5 + rng.uniform() * 4.0;
-                        pool[i].name = format!("p{i}@{}", pool[i].node.0);
-                    }
-                    pool[i].published = now;
-                    reg.admit(pool[i].clone(), now);
-                    // Landing on an occupied host displaces its occupant.
-                    for j in 0..pool.len() {
-                        if j != i && member[j] && pool[j].node == pool[i].node {
-                            member[j] = false;
-                        }
-                    }
-                    member[i] = true;
-                }
-                2 => {
-                    assert_eq!(reg.expel(pool[i].peer), member[i]);
-                    if member[i] {
-                        // The broker's Leave path: purge + tombstone.
-                        reg.purge_remote(pool[i].peer, pool[i].node);
-                        reg.note_departed(pool[i].peer, now);
-                    }
-                    member[i] = false;
-                }
-                _ => {
-                    // Gossip about a random identity; the registry must
-                    // never let a rumor shadow or outlive membership. The
-                    // snapshot age varies so tombstones both hold and clear.
-                    let j = rng.below(pool.len() as u64) as usize;
-                    let as_of = now - SimDuration::from_secs(rng.below(20));
-                    reg.learn_remote(
-                        CandidateView {
-                            peer: pool[j].peer,
-                            node: pool[j].node,
-                            name: Arc::from(pool[j].name.as_str()),
-                            cpu_gops: pool[j].cpu_gops,
-                            snapshot: StatsSnapshot::empty(pool[j].cpu_gops),
-                            history: InteractionHistory::empty(),
-                        },
-                        as_of,
-                    );
-                    if member[j] {
-                        reg.purge_remote(pool[j].peer, pool[j].node);
-                    }
-                }
-            }
-            reg.check_invariants();
-            // No stale advertisement fields: what the registry serves for a
-            // member is exactly the latest thing that member advertised.
-            if member[i] {
-                let entry = reg.entry(pool[i].peer).unwrap();
-                assert_eq!(entry.adv.node, pool[i].node);
-                assert_eq!(entry.adv.cpu_gops, pool[i].cpu_gops);
-                assert_eq!(&*entry.name, pool[i].name.as_str());
-            }
-        }
-        assert!(
-            reg.slab_capacity() <= pool.len(),
-            "slab bounded by concurrent population ({} > {})",
-            reg.slab_capacity(),
-            pool.len()
-        );
-    }
-}
+mod tests;

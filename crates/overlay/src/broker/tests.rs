@@ -650,3 +650,111 @@ fn leave_cancels_deferred_commands_to_the_departed_node() {
         "cancelled command must not start a transfer"
     );
 }
+
+/// A broker that also keeps every gossip roster delivered to it, with the
+/// sending broker and snapshot time, for inspection after the run.
+struct GossipTap {
+    inner: Broker,
+    seen: GossipLog,
+}
+
+type GossipLog = std::sync::Arc<
+    std::sync::Mutex<
+        Vec<(
+            NodeId,
+            SimTime,
+            std::sync::Arc<[crate::selector::CandidateView]>,
+        )>,
+    >,
+>;
+
+impl Actor<OverlayMsg> for GossipTap {
+    fn on_start(&mut self, ctx: &mut Context<OverlayMsg>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
+        if let OverlayMsg::BrokerGossip {
+            from_broker,
+            sent_at,
+            roster,
+        } = &msg
+        {
+            let mut seen = self.seen.lock().unwrap();
+            seen.push((*from_broker, *sent_at, std::sync::Arc::clone(roster)));
+        }
+        self.inner.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<OverlayMsg>, timer: TimerId, tag: u64) {
+        self.inner.on_timer(ctx, timer, tag);
+    }
+}
+
+#[test]
+fn one_gossip_round_shares_one_roster_allocation() {
+    // Three federated brokers, two clients on each. One gossip round
+    // (t = 60 s) builds each sender's roster once: both fellow brokers
+    // receive the same allocation, which still counts as the full
+    // roster on the wire.
+    let mut topo = Topology::new();
+    let brokers: Vec<NodeId> = (0..3)
+        .map(|i| {
+            topo.add_node(
+                NodeSpec::responsive(format!("broker-{i}")),
+                AccessLink::symmetric_mbps(80.0, 0.0001),
+            )
+        })
+        .collect();
+    for (i, &a) in brokers.iter().enumerate() {
+        for &b in &brokers[i + 1..] {
+            topo.set_path_symmetric(a, b, PathSpec::from_owd_ms(10.0, 0.0));
+        }
+    }
+    let clients: Vec<NodeId> = (0..6)
+        .map(|i| {
+            let c = topo.add_node(
+                NodeSpec::responsive(format!("client{i}")),
+                AccessLink::symmetric_mbps(8.0, 0.0003),
+            );
+            topo.set_path_symmetric(brokers[i / 2], c, PathSpec::from_owd_ms(20.0, 0.0));
+            c
+        })
+        .collect();
+    let seen = GossipLog::default();
+    let mut engine = Engine::new(topo, TransportConfig::default(), 91);
+    for (i, &b) in brokers.iter().enumerate() {
+        let mut cfg = BrokerConfig::new(90 + i as u64);
+        cfg.peer_brokers = brokers.iter().copied().filter(|&o| o != b).collect();
+        cfg.stop_when_idle = false;
+        let inner = Broker::new(cfg, RecordSink::new());
+        let seen = seen.clone();
+        engine.register(b, Box::new(GossipTap { inner, seen }));
+    }
+    for (i, &c) in clients.iter().enumerate() {
+        let cfg = ClientConfig::new(brokers[i / 2]);
+        engine.register(c, Box::new(SimpleClient::new(cfg, 9000 + i as u64)));
+    }
+    engine.run_until(SimTime::from_secs_f64(90.0));
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 6, "one round: each broker to both fellows");
+    for &sender in &brokers {
+        let rosters: Vec<_> = seen.iter().filter(|(from, ..)| *from == sender).collect();
+        assert_eq!(rosters.len(), 2);
+        let (_, sent_at, first) = rosters[0];
+        let (_, sent_at_2, second) = rosters[1];
+        assert_eq!(sent_at, sent_at_2, "both messages come from one round");
+        assert!(
+            std::sync::Arc::ptr_eq(first, second),
+            "the round's roster is one allocation"
+        );
+        assert_eq!(first.len(), 2, "the sender's two registered peers");
+        let msg = OverlayMsg::BrokerGossip {
+            from_broker: sender,
+            sent_at: *sent_at,
+            roster: std::sync::Arc::clone(first),
+        };
+        let names: u64 = first.iter().map(|v| v.name.len() as u64).sum();
+        assert_eq!(msg.wire_size(), 24 + 2 * 200 + names);
+    }
+}

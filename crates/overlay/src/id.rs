@@ -5,7 +5,9 @@
 //! value, generated deterministically from a seeded generator so simulation
 //! runs are reproducible.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use netsim::rng::SimRng;
 
@@ -134,9 +136,81 @@ impl IdGenerator {
     }
 }
 
+/// A fixed (unseeded) multiply-rotate hasher for integer keys: overlay ids
+/// and node indices, all generated inside the simulation. Ids are already
+/// well spread (a random high word, see [`IdGenerator`]) and node indices
+/// are dense, so one multiply per word spreads both across buckets. Being
+/// unseeded, it also makes map iteration order a pure function of the
+/// insertion history.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.write_u64(n as u64);
+        self.write_u64((n >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A hash map keyed by overlay ids or node indices, hashed with [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_hasher_spreads_ids_and_dense_node_indices() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasher, Hash};
+        // Low bits pick the bucket: both key shapes must fill a 256-slot
+        // table about as well as a random hash would (~162 of 256 slots
+        // for 256 keys), not pile into a few.
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let low_byte = |key: &dyn Fn(&mut IdHasher)| {
+            let mut h = build.build_hasher();
+            key(&mut h);
+            h.finish() & 0xFF
+        };
+        let mut g = IdGenerator::new(9);
+        let peers: HashSet<u64> = (0..256)
+            .map(|_| {
+                let p = PeerId::generate(&mut g);
+                low_byte(&|h| p.hash(h))
+            })
+            .collect();
+        let nodes: HashSet<u64> = (0..256u32)
+            .map(|i| low_byte(&|h| netsim::node::NodeId(i).hash(h)))
+            .collect();
+        assert!(peers.len() > 128, "peer ids collide: {}", peers.len());
+        assert_eq!(nodes.len(), 256, "dense node indices map one-to-one");
+    }
 
     #[test]
     fn ids_are_unique() {

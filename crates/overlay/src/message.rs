@@ -199,8 +199,10 @@ pub enum OverlayMsg {
         /// When the sender took this roster snapshot, so the receiver can
         /// apply its staleness window.
         sent_at: SimTime,
-        /// Candidate views of the sender's registered peers.
-        roster: Vec<crate::selector::CandidateView>,
+        /// Candidate views of the sender's registered peers. One gossip
+        /// round builds this snapshot once and every fellow broker's
+        /// message shares it; the wire size still counts every view.
+        roster: Arc<[crate::selector::CandidateView]>,
     },
     /// Broker → broker: a `Selected` file petition the origin broker could
     /// not place locally, handed to a fellow broker under a hop budget.
@@ -388,6 +390,41 @@ impl Payload for OverlayMsg {
 mod tests {
     use super::*;
     use crate::id::IdGenerator;
+
+    #[test]
+    fn gossip_wire_size_counts_every_view_of_the_shared_roster() {
+        use crate::selector::{CandidateView, InteractionHistory};
+        let mut g = IdGenerator::new(5);
+        let roster: Arc<[CandidateView]> = ["a", "planetlab-1.example.org", ""]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| CandidateView {
+                peer: PeerId::generate(&mut g),
+                node: netsim::node::NodeId(i as u32),
+                name: Arc::from(*name),
+                cpu_gops: 1.0,
+                snapshot: StatsSnapshot::empty(1.0),
+                history: InteractionHistory::empty(),
+            })
+            .collect();
+        let msg = OverlayMsg::BrokerGossip {
+            from_broker: netsim::node::NodeId(9),
+            sent_at: SimTime::ZERO,
+            roster: Arc::clone(&roster),
+        };
+        let expected = 24
+            + roster
+                .iter()
+                .map(|v| 200 + v.name.len() as u64)
+                .sum::<u64>();
+        assert_eq!(expected, 24 + 3 * 200 + 1 + 23);
+        assert_eq!(msg.wire_size(), expected);
+        assert_eq!(
+            msg.clone().wire_size(),
+            expected,
+            "a shared copy weighs the same"
+        );
+    }
 
     #[test]
     fn file_parts_dominate_wire_size() {
