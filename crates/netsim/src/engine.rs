@@ -581,23 +581,23 @@ impl<M: Payload> Engine<M> {
     /// trips, or virtual time would pass `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let outcome = self.run_bounded(horizon, false);
-        self.flush_run_metrics();
-        if let Some(rec) = &mut self.recorder {
-            // The run is over: every event at or before the final clock has
-            // run, so boundaries up to and including it are complete.
-            rec.sample_up_to(self.core.clock, &self.core.metrics);
-        }
+        self.finish_run();
         outcome
     }
 
     /// Flushes run-scoped gauges (the timer high-water mark) so post-run
-    /// metric readers see them. `run_until` does this after every step; a
+    /// metric readers see them, and completes an installed recorder: every
+    /// event at or before the final clock has run, so boundaries up to and
+    /// including it are done. `run_until` does this after every step; a
     /// sharded run does it once per shard when the whole run ends.
-    pub(crate) fn flush_run_metrics(&mut self) {
+    pub(crate) fn finish_run(&mut self) {
         self.core.metrics.set_max_id(
             self.core.ids.timers_pending_hwm,
             self.core.timers_pending_hwm as u64,
         );
+        if let Some(rec) = &mut self.recorder {
+            rec.sample_up_to(self.core.clock, &self.core.metrics);
+        }
     }
 
     /// Marks this engine as shard `shard_id` of a sharded run: sends to

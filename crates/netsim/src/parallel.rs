@@ -26,12 +26,22 @@
 //!    incorporated by the coordinator alone at the barrier — identical
 //!    regardless of which thread produced them or in what real-time order.
 //!
-//! Note that a sharded run is its own model, not a bit-replay of the
+//! Note that a multi-shard run is its own model, not a bit-replay of the
 //! serial engine: shards draw from per-shard RNG streams and receiver-side
 //! queueing for cross-shard messages is applied at the barrier. What is
 //! invariant is the run given `(topology, config, seed, map)` — the same
 //! contract the sweep layer offers at the cell level, pushed inside one
 //! run.
+//!
+//! # One shard is the serial engine
+//!
+//! A one-shard run *is* a bit-replay of [`Engine::new`] under the same
+//! seed: the lone shard is seeded with the raw seed (not
+//! `shard_seed(seed, 0)`), its time-series recorder samples per event
+//! inside that engine rather than at barriers, and [`ShardedEngine::metrics`]
+//! / [`ShardedEngine::trace`] return the lone engine's state instead of a
+//! merge. Each rule selects on the shard count alone, so callers run every
+//! shard count through the same type.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -144,7 +154,8 @@ pub struct ShardedEngine<M: Payload + Send> {
 impl<M: Payload + Send> ShardedEngine<M> {
     /// Creates a sharded engine over `topo` with `map.num_shards()` shard
     /// domains run by up to `workers` threads (clamped to the shard
-    /// count; 0 means 1). Shard `s` is seeded with `shard_seed(seed, s)`.
+    /// count; 0 means 1). Shard `s` is seeded with `shard_seed(seed, s)`,
+    /// except that a lone shard takes `seed` itself (the serial engine).
     pub fn new(
         topo: Topology,
         config: TransportConfig,
@@ -168,9 +179,14 @@ impl<M: Payload + Send> ShardedEngine<M> {
         let assignment = Arc::new(map.assignment().to_vec());
         let topo = Arc::new(topo);
         let mut engines = Vec::with_capacity(map.num_shards());
+        let single = map.num_shards() == 1;
         for s in 0..map.num_shards() {
-            let mut e =
-                Engine::new_shared(topo.clone(), config.clone(), shard_seed(seed, s as u64));
+            let seed = if single {
+                seed
+            } else {
+                shard_seed(seed, s as u64)
+            };
+            let mut e = Engine::new_shared(topo.clone(), config.clone(), seed);
             e.set_shard(assignment.clone(), s);
             e.set_timer_base((s as u64) << 48);
             engines.push(Some(e));
@@ -197,17 +213,24 @@ impl<M: Payload + Send> ShardedEngine<M> {
         self.profiler.as_ref()
     }
 
-    /// Installs a windowed time-series recorder. The sharded run samples
+    /// Installs a windowed time-series recorder. A multi-shard run samples
     /// at barrier rounds: a boundary is emitted at the first barrier whose
     /// minimum shard clock passes it, from metrics merged in shard order —
     /// deterministic at any worker count because the barrier schedule is.
+    /// A lone shard samples per event, exactly like the serial engine.
     pub fn install_recorder(&mut self, recorder: TimeSeriesRecorder) {
-        self.recorder = Some(recorder);
+        if self.engines.len() == 1 {
+            self.engine_mut(0).install_recorder(recorder);
+        } else {
+            self.recorder = Some(recorder);
+        }
     }
 
     /// Removes and returns the installed recorder, if any.
     pub fn take_recorder(&mut self) -> Option<TimeSeriesRecorder> {
-        self.recorder.take()
+        self.recorder
+            .take()
+            .or_else(|| self.engine_mut(0).take_recorder())
     }
 
     /// The shard map this engine runs over.
@@ -277,8 +300,11 @@ impl<M: Payload + Send> ShardedEngine<M> {
         self.profile
     }
 
-    /// Merged metrics across shards, in shard order.
+    /// Merged metrics across shards, in shard order (a lone shard's own).
     pub fn metrics(&self) -> Metrics {
+        if self.engines.len() == 1 {
+            return self.engine(0).metrics().clone();
+        }
         let mut merged = Metrics::new();
         for s in 0..self.engines.len() {
             merged.merge(self.engine(s).metrics());
@@ -292,8 +318,11 @@ impl<M: Payload + Send> ShardedEngine<M> {
     }
 
     /// Merged trace: per-shard histories stably sorted by timestamp, shard
-    /// order breaking ties.
+    /// order breaking ties (a lone shard's own).
     pub fn trace(&self) -> Trace {
+        if self.engines.len() == 1 {
+            return self.engine(0).trace().clone();
+        }
         let parts: Vec<&Trace> = (0..self.engines.len())
             .map(|s| self.engine(s).trace())
             .collect();
@@ -370,7 +399,7 @@ impl<M: Payload + Send> ShardedEngine<M> {
             })
         };
         for s in 0..self.engines.len() {
-            self.engine_mut(s).flush_run_metrics();
+            self.engine_mut(s).finish_run();
         }
         if self.recorder.is_some() {
             // The run is over: every event at or before the final clock has
@@ -566,231 +595,4 @@ impl<M: Payload + Send> ShardedEngine<M> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::{Context, ServiceClass};
-    use crate::link::{AccessLink, PathSpec};
-    use crate::node::NodeSpec;
-
-    #[derive(Debug, Clone)]
-    struct Token(u32);
-
-    impl Payload for Token {
-        fn wire_size(&self) -> u64 {
-            128
-        }
-        fn kind(&self) -> &'static str {
-            "token"
-        }
-        fn service_class(&self) -> ServiceClass {
-            ServiceClass::Fast
-        }
-    }
-
-    /// Bounces a token around a fixed itinerary of nodes.
-    struct Bouncer {
-        itinerary: Vec<NodeId>,
-        hops: u32,
-        kick_off: bool,
-    }
-
-    impl Actor<Token> for Bouncer {
-        fn on_start(&mut self, ctx: &mut Context<Token>) {
-            if self.kick_off {
-                ctx.send(self.itinerary[0], Token(0));
-            }
-        }
-        fn on_message(&mut self, ctx: &mut Context<Token>, _from: NodeId, msg: Token) {
-            if msg.0 < self.hops {
-                let next = self.itinerary[(msg.0 as usize) % self.itinerary.len()];
-                ctx.send(next, Token(msg.0 + 1));
-            }
-        }
-    }
-
-    /// Two regions of three nodes: 2 ms inside a region, 40 ms across.
-    fn two_region_topo() -> Topology {
-        let mut t = Topology::new();
-        for i in 0..6 {
-            t.add_node(NodeSpec::responsive(format!("n{i}")), AccessLink::default());
-        }
-        for a in 0..6u32 {
-            for b in 0..6u32 {
-                if a == b {
-                    continue;
-                }
-                let ms = if (a < 3) == (b < 3) { 2.0 } else { 40.0 };
-                t.set_path(NodeId(a), NodeId(b), PathSpec::from_owd_ms(ms, 0.0));
-            }
-        }
-        t
-    }
-
-    fn build(workers: usize) -> ShardedEngine<Token> {
-        let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let mut e = ShardedEngine::new(
-            two_region_topo(),
-            TransportConfig::default(),
-            42,
-            map,
-            workers,
-        )
-        .unwrap();
-        let all: Vec<NodeId> = (0..6).map(NodeId).collect();
-        for (i, &node) in all.iter().enumerate() {
-            // Every token hop moves to a pseudo-random next node, with
-            // plenty of cross-region (= cross-shard) traffic.
-            let itinerary: Vec<NodeId> = (0..6).map(|j| NodeId((j * 5 + 1) % 6)).collect();
-            e.register(
-                node,
-                Box::new(Bouncer {
-                    itinerary,
-                    hops: 40,
-                    kick_off: i < 2,
-                }),
-            );
-        }
-        e.enable_trace(4096);
-        e
-    }
-
-    #[test]
-    fn sharded_run_is_worker_count_invariant() {
-        let horizon = SimTime::from_secs_f64(30.0);
-        let mut runs = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let mut e = build(workers);
-            let outcome = e.run_until(horizon);
-            runs.push((
-                workers,
-                outcome,
-                e.trace().digest(),
-                e.trace().to_jsonl(),
-                e.metrics().render(),
-                e.now(),
-                e.events_processed(),
-            ));
-        }
-        let (_, o1, d1, j1, m1, t1, n1) = &runs[0];
-        for (w, o, d, j, m, t, n) in &runs[1..] {
-            assert_eq!(o, o1, "outcome differs at {w} workers");
-            assert_eq!(d, d1, "trace digest differs at {w} workers");
-            assert_eq!(j, j1, "trace JSONL differs at {w} workers");
-            assert_eq!(m, m1, "metrics differ at {w} workers");
-            assert_eq!(t, t1, "final clock differs at {w} workers");
-            assert_eq!(n, n1, "event count differs at {w} workers");
-        }
-        assert!(*n1 > 0, "the workload must actually run");
-    }
-
-    #[test]
-    fn cross_shard_messages_are_delivered_and_counted() {
-        let mut e = build(1);
-        e.run_until(SimTime::from_secs_f64(30.0));
-        let m = e.metrics();
-        assert!(m.counter("net.messages_sent") > 0);
-        assert_eq!(
-            m.counter("net.messages_delivered") + m.counter("net.messages_dropped_no_actor"),
-            m.counter("net.messages_sent"),
-            "every sent message is accounted for across shards"
-        );
-    }
-
-    #[test]
-    fn zero_cross_shard_traffic_still_terminates() {
-        // Tokens bounce strictly inside each region: outboxes stay empty,
-        // windows are pure clock advancement.
-        let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let mut e =
-            ShardedEngine::new(two_region_topo(), TransportConfig::default(), 7, map, 2).unwrap();
-        for region in 0..2u32 {
-            let local: Vec<NodeId> = (0..3).map(|j| NodeId(region * 3 + j)).collect();
-            for (i, &node) in local.iter().enumerate() {
-                e.register(
-                    node,
-                    Box::new(Bouncer {
-                        itinerary: local.clone(),
-                        hops: 10,
-                        kick_off: i == 0,
-                    }),
-                );
-            }
-        }
-        // Both regions finish their 10 hops, outboxes stay empty, and the
-        // barrier loop notices the drained queues instead of spinning on
-        // clock-advance windows forever.
-        let outcome = e.run_until(SimTime::from_secs_f64(10.0));
-        assert_eq!(outcome, RunOutcome::QueueEmpty);
-        assert!(e.events_processed() > 0);
-        // 1 kick-off + 10 forwarded hops per region, two regions.
-        assert_eq!(e.metrics().counter("net.messages_delivered"), 22);
-    }
-
-    #[test]
-    fn single_shard_degenerate_matches_serial_engine() {
-        // One shard runs the serial code path inside the window loop; the
-        // history must match a plain Engine with the shard-0 seed.
-        let topo = two_region_topo();
-        let map = ShardMap::single(topo.len());
-        let mut sharded =
-            ShardedEngine::new(topo.clone(), TransportConfig::default(), 9, map, 1).unwrap();
-        let mut serial = Engine::new(topo, TransportConfig::default(), shard_seed(9, 0));
-        let itinerary: Vec<NodeId> = (0..6).map(|j| NodeId((j * 5 + 1) % 6)).collect();
-        for (i, node) in (0..6).map(NodeId).enumerate() {
-            let make = || Bouncer {
-                itinerary: itinerary.clone(),
-                hops: 25,
-                kick_off: i == 0,
-            };
-            sharded.register(node, Box::new(make()));
-            serial.register(node, Box::new(make()));
-        }
-        sharded.enable_trace(4096);
-        serial.enable_trace(4096);
-        let horizon = SimTime::from_secs_f64(20.0);
-        let a = sharded.run_until(horizon);
-        let b = serial.run_until(horizon);
-        assert_eq!(a, b);
-        assert_eq!(sharded.trace().digest(), serial.trace().digest());
-        assert_eq!(sharded.metrics().render(), serial.metrics().render());
-    }
-
-    #[test]
-    fn zero_lookahead_is_rejected() {
-        let mut t = Topology::new();
-        let a = t.add_node(NodeSpec::responsive("a"), AccessLink::default());
-        let b = t.add_node(NodeSpec::responsive("b"), AccessLink::default());
-        t.set_path_symmetric(a, b, PathSpec::from_owd_ms(0.0, 0.0));
-        let map = ShardMap::from_assignment(vec![0, 1]).unwrap();
-        let err = ShardedEngine::<Token>::new(t, TransportConfig::default(), 1, map, 2)
-            .err()
-            .expect("zero-delay cross links must be rejected");
-        assert_eq!(err, ParallelError::ZeroLookahead);
-    }
-
-    #[test]
-    fn map_size_mismatch_is_rejected() {
-        let t = two_region_topo();
-        let map = ShardMap::from_assignment(vec![0, 1]).unwrap();
-        let err = ShardedEngine::<Token>::new(t, TransportConfig::default(), 1, map, 2)
-            .err()
-            .expect("undersized shard map must be rejected");
-        assert_eq!(
-            err,
-            ParallelError::MapSizeMismatch {
-                map: 2,
-                topology: 6
-            }
-        );
-    }
-
-    #[test]
-    fn profile_accounts_busy_and_critical_path() {
-        let mut e = build(2);
-        e.run_until(SimTime::from_secs_f64(30.0));
-        let p = e.profile();
-        assert!(p.rounds > 0, "multi-shard run must take barrier rounds");
-        assert!(p.busy >= p.critical_path);
-        assert!(p.critical_path > Duration::ZERO);
-    }
-}
+mod tests;

@@ -43,7 +43,6 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::scenario::ScenarioError;
 use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
 use crate::telemetry::federation_series;
 
@@ -282,6 +281,7 @@ impl Workload for FederationWorkload<'_> {
         let map = self.cfg.topo.shard_map(self.cfg.num_shards)?;
         Ok(TopologyPlan {
             topo: built.topo,
+            transport: Default::default(),
             map,
             brokers: built.brokers,
         })
@@ -465,11 +465,8 @@ pub fn summary_json(cfg: &FederationConfig, seed: u64, result: &FederationResult
 /// Runs one federation replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
 /// shard counts, degenerate topologies, and rejected federation
-/// parameters surface as [`ScenarioError`]s instead of panics.
-pub fn run_federation(
-    cfg: &FederationConfig,
-    seed: u64,
-) -> Result<FederationResult, ScenarioError> {
+/// parameters surface as [`HarnessError`]s instead of panics.
+pub fn run_federation(cfg: &FederationConfig, seed: u64) -> Result<FederationResult, HarnessError> {
     let harness = WorkloadBuilder::new()
         .horizon(cfg.horizon)
         .shard_workers(cfg.shard_workers)

@@ -1,6 +1,7 @@
 //! The workload harness: one typed pipeline under every driver.
 //!
-//! `run_churn`, `run_multiregion`, `run_federation`, and `run_streaming`
+//! `run_churn`, `run_multiregion`, `run_federation`, `run_streaming` and
+//! the classic paper scenarios (`scenario::run_scenario` and its siblings)
 //! all execute the same sequence — build a testbed and its shard map,
 //! hand out per-shard [`RecordSink`]s, wire the brokers into a
 //! [`Federation`], construct the actor fleet, assemble a
@@ -226,11 +227,16 @@ impl FederationSpec {
     }
 }
 
-/// The testbed a workload runs on: topology, node → shard assignment,
-/// and the broker roster (one broker per region, region order).
+/// The testbed a workload runs on: topology, transport model, node →
+/// shard assignment, and the broker roster (one broker per region,
+/// region order).
 pub struct TopologyPlan {
     /// The full topology, moved into the engine after actor construction.
     pub topo: Topology,
+    /// The transport model the engine runs the topology under. It rides
+    /// on the plan, not on a trait method of its own, so a wrapper that
+    /// forwards [`Workload::topology`] forwards the transport with it.
+    pub transport: TransportConfig,
     /// Node → shard assignment (fixed across worker counts).
     pub map: ShardMap,
     /// Broker node per region, in region order — the federation roster.
@@ -267,7 +273,8 @@ pub trait Workload {
     /// Short name used in diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Builds the testbed for this seed: topology, shard map, brokers.
+    /// Builds the testbed for this seed: topology, transport, shard map,
+    /// brokers.
     fn topology(&self, seed: u64) -> Result<TopologyPlan, HarnessError>;
 
     /// How the brokers federate. Defaults to inert gossip-only wiring.
@@ -432,23 +439,25 @@ impl Harness {
     /// `shard_workers` at fixed shards.
     pub fn run(&self, workload: &dyn Workload, seed: u64) -> Result<HarnessRun, HarnessError> {
         let p = &self.params;
-        let TopologyPlan { topo, map, brokers } = workload.topology(seed)?;
-        let node_names: Vec<Arc<str>> = (0..topo.len())
-            .map(|i| Arc::from(topo.node(NodeId(i as u32)).name.as_str()))
+        let plan = workload.topology(seed)?;
+        let node_names: Vec<Arc<str>> = (0..plan.topo.len())
+            .map(|i| Arc::from(plan.topo.node(NodeId(i as u32)).name.as_str()))
             .collect();
-        let sinks: Vec<RecordSink> = (0..map.num_shards()).map(|_| RecordSink::new()).collect();
-        let federation = workload.federation().build(brokers.clone())?;
+        let sinks: Vec<RecordSink> = (0..plan.map.num_shards())
+            .map(|_| RecordSink::new())
+            .collect();
+        let federation = workload.federation().build(plan.brokers.clone())?;
         let actors = workload.actors(&BuildCtx {
             seed,
-            topo: &topo,
-            brokers: &brokers,
+            topo: &plan.topo,
+            brokers: &plan.brokers,
             federation: &federation,
-            map: &map,
+            map: &plan.map,
             sinks: &sinks,
         });
 
         let mut engine: ShardedEngine<OverlayMsg> =
-            ShardedEngine::new(topo, TransportConfig::default(), seed, map, p.shard_workers)?;
+            ShardedEngine::new(plan.topo, plan.transport, seed, plan.map, p.shard_workers)?;
         if let Some(capacity) = p.trace_capacity {
             engine.enable_trace(capacity);
         }
@@ -641,6 +650,7 @@ mod tests {
             };
             Ok(TopologyPlan {
                 topo: built.topo,
+                transport: TransportConfig::default(),
                 map,
                 brokers: built.brokers,
             })

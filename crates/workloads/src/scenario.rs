@@ -1,11 +1,12 @@
-//! Scenario wiring: testbed → engine → broker + clients → run → records.
+//! Scenario wiring: testbed → broker + clients → [`crate::harness`] →
+//! records. A classic scenario is one more [`Workload`]; one shard is the
+//! serial engine, so the paper's figures share every other run's assembly.
 
-use netsim::engine::{Actor, Engine, RunOutcome};
+use netsim::engine::{Actor, RunOutcome};
 use netsim::metrics::Metrics;
 use netsim::node::NodeId;
-use netsim::parallel::{ParallelError, ShardedEngine};
 use netsim::profile::ExecutionProfile;
-use netsim::shard::{ShardMap, ShardMapError};
+use netsim::shard::ShardMap;
 use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use netsim::trace::Trace;
@@ -13,8 +14,11 @@ use netsim::transport::TransportConfig;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, RetryPolicy, TargetSpec};
 use overlay::client::{ClientCommand, ClientConfig, SimpleClient};
 use overlay::message::OverlayMsg;
-use overlay::records::{RecordSink, RunLog};
+use overlay::records::RunLog;
 use planetlab::builder::{build, Testbed, TestbedConfig};
+
+use crate::harness::{BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder};
+use crate::telemetry::overlay_series;
 
 pub use overlay::selector::SelectorFactory;
 
@@ -61,9 +65,9 @@ pub struct ScenarioConfig {
     /// and [`ScenarioResult::trace`] carries them out. `None` (the default)
     /// keeps the allocation-free disabled path.
     trace_capacity: Option<usize>,
-    /// Shard domains for the parallel engine: 1 (the default) runs the
-    /// serial engine; > 1 partitions nodes round-robin over this many
-    /// shards and runs the conservative-lookahead windowed engine.
+    /// Shard domains: nodes are partitioned round-robin over this many
+    /// shards. One shard (the default) is the serial engine; more run the
+    /// conservative-lookahead windowed engine.
     shards: usize,
     /// Worker threads for a sharded run (clamped to the shard count).
     /// Deterministic by construction: any worker count yields the same
@@ -109,72 +113,6 @@ pub enum ScenarioError {
         /// The SC with the inverted churn window.
         sc: u8,
     },
-    /// The shard count cannot partition this testbed (zero, or more
-    /// shards than regions for region-major workloads).
-    InvalidShardCount {
-        /// The rejected shard count.
-        num_shards: usize,
-        /// How many regions the testbed has.
-        regions: usize,
-    },
-    /// The node → shard assignment was rejected by the shard-map layer.
-    ShardMap(ShardMapError),
-    /// The sharded engine rejected the topology / shard-map pair (e.g.
-    /// a zero cross-shard lookahead would deadlock the window schedule).
-    Parallel(ParallelError),
-    /// A telemetry series interval of zero virtual time was requested;
-    /// the window schedule would never advance.
-    ZeroSeriesInterval,
-    /// The broker-federation parameters were rejected by
-    /// [`overlay::federation::FederationBuilder`].
-    Federation(overlay::federation::FederationError),
-}
-
-impl From<ShardMapError> for ScenarioError {
-    fn from(e: ShardMapError) -> Self {
-        ScenarioError::ShardMap(e)
-    }
-}
-
-impl From<ParallelError> for ScenarioError {
-    fn from(e: ParallelError) -> Self {
-        ScenarioError::Parallel(e)
-    }
-}
-
-impl From<TimeSeriesError> for ScenarioError {
-    fn from(e: TimeSeriesError) -> Self {
-        match e {
-            TimeSeriesError::ZeroInterval => ScenarioError::ZeroSeriesInterval,
-        }
-    }
-}
-
-impl From<overlay::federation::FederationError> for ScenarioError {
-    fn from(e: overlay::federation::FederationError) -> Self {
-        ScenarioError::Federation(e)
-    }
-}
-
-impl From<crate::harness::HarnessError> for ScenarioError {
-    fn from(e: crate::harness::HarnessError) -> Self {
-        use crate::harness::HarnessError;
-        match e {
-            HarnessError::NonPositiveHorizon => ScenarioError::NonPositiveHorizon,
-            HarnessError::ZeroParallelism { what } => ScenarioError::ZeroParallelism { what },
-            HarnessError::InvalidShardCount {
-                num_shards,
-                regions,
-            } => ScenarioError::InvalidShardCount {
-                num_shards,
-                regions,
-            },
-            HarnessError::ShardMap(e) => ScenarioError::ShardMap(e),
-            HarnessError::Parallel(e) => ScenarioError::Parallel(e),
-            HarnessError::ZeroSeriesInterval => ScenarioError::ZeroSeriesInterval,
-            HarnessError::Federation(e) => ScenarioError::Federation(e),
-        }
-    }
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -202,20 +140,6 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "churn pair on SC{sc}: the rejoin must come strictly after the leave"
             ),
-            ScenarioError::InvalidShardCount {
-                num_shards,
-                regions,
-            } => write!(
-                f,
-                "num_shards {num_shards} cannot partition a {regions}-region testbed \
-                 (need 1 <= num_shards <= regions)"
-            ),
-            ScenarioError::ShardMap(e) => write!(f, "shard assignment rejected: {e:?}"),
-            ScenarioError::Parallel(e) => write!(f, "sharded engine rejected: {e:?}"),
-            ScenarioError::ZeroSeriesInterval => {
-                write!(f, "telemetry series interval must be positive virtual time")
-            }
-            ScenarioError::Federation(e) => write!(f, "federation rejected: {e}"),
         }
     }
 }
@@ -390,14 +314,7 @@ impl ScenarioBuilder {
         if cfg.horizon == SimDuration::ZERO {
             return Err(ScenarioError::NonPositiveHorizon);
         }
-        if cfg.shards == 0 {
-            return Err(ScenarioError::ZeroParallelism { what: "shards" });
-        }
-        if cfg.shard_workers == 0 {
-            return Err(ScenarioError::ZeroParallelism {
-                what: "shard_workers",
-            });
-        }
+        cfg.check_parallelism()?;
         let check_prob = |what: String, value: f64| {
             if !(0.0..=1.0).contains(&value) {
                 return Err(ScenarioError::ProbabilityOutOfRange { what, value });
@@ -644,11 +561,6 @@ impl ScenarioConfig {
         &self.commands
     }
 
-    /// The virtual-time safety horizon.
-    pub fn horizon(&self) -> SimDuration {
-        self.horizon
-    }
-
     /// The trace ring-buffer capacity, when tracing is enabled.
     pub fn trace_capacity(&self) -> Option<usize> {
         self.trace_capacity
@@ -659,17 +571,33 @@ impl ScenarioConfig {
         self.shards
     }
 
-    /// Worker threads for a sharded run.
-    pub fn shard_workers(&self) -> usize {
-        self.shard_workers
+    /// Sets the shard/worker axis post-build, rejecting a zero for either
+    /// as [`ScenarioError::ZeroParallelism`]. 1 shard = the serial engine.
+    pub fn sharded(mut self, shards: usize, workers: usize) -> Result<Self, ScenarioError> {
+        self.shards = shards;
+        self.shard_workers = workers;
+        self.check_parallelism()?;
+        Ok(self)
     }
 
-    /// Sets the shard/worker axis post-build (invariant-free apart from
-    /// being non-zero, which this clamps). 1 shard = the serial engine.
-    pub fn sharded(mut self, shards: usize, workers: usize) -> Self {
-        self.shards = shards.max(1);
-        self.shard_workers = workers.max(1);
-        self
+    fn check_parallelism(&self) -> Result<(), ScenarioError> {
+        if self.shards == 0 {
+            return Err(ScenarioError::ZeroParallelism { what: "shards" });
+        }
+        if self.shard_workers == 0 {
+            return Err(ScenarioError::ZeroParallelism {
+                what: "shard_workers",
+            });
+        }
+        Ok(())
+    }
+
+    /// The harness parameters this scenario runs under.
+    fn harness(&self) -> WorkloadBuilder {
+        WorkloadBuilder::new()
+            .horizon(self.horizon)
+            .shard_workers(self.shard_workers)
+            .trace_capacity(self.trace_capacity)
     }
 }
 
@@ -697,24 +625,12 @@ pub struct ScenarioResult {
     /// The run's typed trace (empty and disabled unless
     /// [`ScenarioConfig::trace_capacity`] was set).
     pub trace: Trace,
-    /// Windowed time-series rows, when a recorder was attached via
-    /// [`TelemetryOptions::series`].
+    /// Windowed time-series rows ([`overlay_series`] columns), when the
+    /// run was profiled with [`run_scenario_profiled`].
     pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution profile, when requested via
-    /// [`TelemetryOptions::profile_execution`] on a sharded run. Always
-    /// `None` for serial runs (there are no barrier rounds to account).
+    /// Per-shard execution profile, when the run was profiled with
+    /// [`run_scenario_profiled`] (a one-shard run included).
     pub exec_profile: Option<ExecutionProfile>,
-}
-
-/// Optional telemetry attachments for one scenario replication.
-#[derive(Default)]
-pub struct TelemetryOptions {
-    /// A pre-registered time-series recorder driven through the run and
-    /// handed back (with its rows) in [`ScenarioResult::series`].
-    pub series: Option<TimeSeriesRecorder>,
-    /// Record per-shard, per-barrier-round execution accounting
-    /// (sharded runs only; ignored by the serial engine).
-    pub profile_execution: bool,
 }
 
 /// Runs one replication of `cfg` under `seed`.
@@ -726,169 +642,137 @@ pub fn run_scenario(cfg: &ScenarioConfig, seed: u64) -> ScenarioResult {
 }
 
 /// Runs one replication of `cfg` under `seed`, surfacing shard-map and
-/// engine-construction failures as [`ScenarioError`]s.
-pub fn try_run_scenario(cfg: &ScenarioConfig, seed: u64) -> Result<ScenarioResult, ScenarioError> {
-    run_scenario_inner(cfg, seed, cfg.trace_capacity, TelemetryOptions::default())
+/// engine-construction failures as [`HarnessError`]s.
+pub fn try_run_scenario(cfg: &ScenarioConfig, seed: u64) -> Result<ScenarioResult, HarnessError> {
+    run_on(cfg, seed, cfg.harness())
 }
 
 /// Runs one replication with tracing forced on at `capacity` events,
 /// regardless of `cfg.trace_capacity`. Used by the traced runner so callers
 /// don't have to mutate a shared config.
 pub fn run_scenario_traced(cfg: &ScenarioConfig, seed: u64, capacity: usize) -> ScenarioResult {
-    run_scenario_inner(cfg, seed, Some(capacity), TelemetryOptions::default())
+    run_on(cfg, seed, cfg.harness().trace_capacity(Some(capacity)))
         .unwrap_or_else(|e| panic!("scenario run failed: {e}"))
 }
 
-/// Runs one replication with telemetry attached: an optional windowed
-/// time-series recorder and/or the per-shard execution profiler.
-pub fn run_scenario_telemetry(
+/// Runs one replication with the [`overlay_series`] recorder sampling at
+/// `interval` and the per-shard execution profiler attached.
+pub fn run_scenario_profiled(
     cfg: &ScenarioConfig,
     seed: u64,
-    telemetry: TelemetryOptions,
-) -> Result<ScenarioResult, ScenarioError> {
-    run_scenario_inner(cfg, seed, cfg.trace_capacity, telemetry)
+    interval: SimDuration,
+) -> Result<ScenarioResult, HarnessError> {
+    let harness = cfg
+        .harness()
+        .series_interval(Some(interval))
+        .profile_execution(true);
+    run_on(cfg, seed, harness)
 }
 
-fn run_scenario_inner(
+fn run_on(
     cfg: &ScenarioConfig,
     seed: u64,
-    trace_capacity: Option<usize>,
-    telemetry: TelemetryOptions,
-) -> Result<ScenarioResult, ScenarioError> {
+    harness: WorkloadBuilder,
+) -> Result<ScenarioResult, HarnessError> {
     let testbed = build(&cfg.testbed);
-    // One record sink per shard: actors of a shard share a sink, so a
-    // threaded run never interleaves records across threads. The serial
-    // path is the single-shard special case of the same layout.
-    let map = ShardMap::modulo(testbed.len(), cfg.shards);
-    let sinks: Vec<RecordSink> = (0..map.num_shards()).map(|_| RecordSink::new()).collect();
-    let sink_of = |node: NodeId| sinks[map.shard_of(node)].clone();
-
-    let mut broker_cfg = BrokerConfig::new(seed ^ 0x0B20_CE12);
-    broker_cfg.commands = cfg.commands.clone();
-    broker_cfg.transfer_timeout = cfg.transfer_timeout;
-    broker_cfg.stop_when_idle = cfg.stop_when_idle;
-    broker_cfg.retry = cfg.retry;
-    if let Some(factory) = &cfg.selector {
-        broker_cfg.selector = Some(factory(seed));
-    }
-
-    let mut actors: Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> = vec![(
-        testbed.broker,
-        Box::new(Broker::new(broker_cfg, sink_of(testbed.broker))),
-    )];
-    for (i, node) in testbed.clients().into_iter().enumerate() {
-        let mut client_cfg = ClientConfig::new(testbed.broker);
-        if let Some(accept) = &cfg.task_accept_by_sc {
-            if i < 8 {
-                client_cfg.task_accept_probability = accept[i];
-            }
-        }
-        if let Some(refuse) = &cfg.transfer_refuse_by_sc {
-            if i < 8 {
-                client_cfg.transfer_refuse_probability = refuse[i];
-            }
-        }
-        if i < 8 {
-            let sc = i as u8 + 1;
-            if let Some(commands) = &cfg.client_commands_by_sc {
-                for (target, delay, cmd) in commands {
-                    if *target == sc {
-                        client_cfg.commands.push((*delay, cmd.clone()));
-                    }
-                }
-            }
-            if let Some(shared) = &cfg.shared_files_by_sc {
-                for (target, name, bytes) in shared {
-                    if *target == sc {
-                        client_cfg.shared_files.push((name.clone(), *bytes));
-                    }
-                }
-            }
-        }
-        actors.push((
-            node,
-            Box::new(
-                SimpleClient::new(client_cfg, seed.wrapping_mul(31).wrapping_add(i as u64))
-                    .with_sink(sink_of(node)),
-            ),
-        ));
-    }
-
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let (outcome, metrics, elapsed, events_processed, peak_queue_len, trace, series, exec_profile) =
-        if map.num_shards() == 1 {
-            let mut engine: Engine<OverlayMsg> =
-                Engine::new(testbed.topology.clone(), cfg.transport.clone(), seed);
-            if let Some(capacity) = trace_capacity {
-                engine.enable_trace(capacity);
-            }
-            if let Some(recorder) = telemetry.series {
-                engine.install_recorder(recorder);
-            }
-            for (node, actor) in actors {
-                engine.register(node, actor);
-            }
-            let outcome = engine.run_until(horizon);
-            (
-                outcome,
-                engine.metrics().clone(),
-                engine.now(),
-                engine.events_processed(),
-                engine.peak_queue_len(),
-                engine.trace().clone(),
-                engine.take_recorder(),
-                None,
-            )
-        } else {
-            let mut engine: ShardedEngine<OverlayMsg> = ShardedEngine::new(
-                testbed.topology.clone(),
-                cfg.transport.clone(),
-                seed,
-                map,
-                cfg.shard_workers,
-            )?;
-            if let Some(capacity) = trace_capacity {
-                engine.enable_trace(capacity);
-            }
-            if let Some(recorder) = telemetry.series {
-                engine.install_recorder(recorder);
-            }
-            if telemetry.profile_execution {
-                engine.enable_profiling();
-            }
-            for (node, actor) in actors {
-                engine.register(node, actor);
-            }
-            let outcome = engine.run_until(horizon);
-            let exec_profile = engine.execution_profile().cloned();
-            (
-                outcome,
-                engine.metrics(),
-                engine.now(),
-                engine.events_processed(),
-                engine.peak_queue_len(),
-                engine.trace(),
-                engine.take_recorder(),
-                exec_profile,
-            )
-        };
-
-    let mut log = RunLog::default();
-    for sink in &sinks {
-        log.absorb(sink.drain());
-    }
+    let run = harness.build()?.run(
+        &ScenarioWorkload {
+            cfg,
+            testbed: &testbed,
+        },
+        seed,
+    )?;
     Ok(ScenarioResult {
-        log,
-        metrics,
-        elapsed,
-        outcome,
-        events_processed,
-        peak_queue_len,
-        trace,
+        log: run.log,
+        metrics: run.metrics,
+        elapsed: run.elapsed,
+        outcome: run.outcome,
+        events_processed: run.events_processed,
+        peak_queue_len: run.peak_queue_len,
         testbed,
-        series,
-        exec_profile,
+        trace: run.trace,
+        series: run.series,
+        exec_profile: run.exec_profile,
     })
+}
+
+/// A classic scenario on the harness: the built testbed with the
+/// scenario's own transport, one broker, and the SC clients.
+struct ScenarioWorkload<'a> {
+    cfg: &'a ScenarioConfig,
+    testbed: &'a Testbed,
+}
+
+impl Workload for ScenarioWorkload<'_> {
+    fn name(&self) -> &'static str {
+        "scenario"
+    }
+
+    fn topology(&self, _seed: u64) -> Result<TopologyPlan, HarnessError> {
+        Ok(TopologyPlan {
+            topo: self.testbed.topology.clone(),
+            transport: self.cfg.transport.clone(),
+            map: ShardMap::modulo(self.testbed.len(), self.cfg.shards),
+            brokers: vec![self.testbed.broker],
+        })
+    }
+
+    fn actors(&self, cx: &BuildCtx<'_>) -> Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> {
+        let (cfg, testbed, seed) = (self.cfg, self.testbed, cx.seed);
+        let mut broker_cfg = BrokerConfig::new(seed ^ 0x0B20_CE12);
+        broker_cfg.commands = cfg.commands.clone();
+        broker_cfg.transfer_timeout = cfg.transfer_timeout;
+        broker_cfg.stop_when_idle = cfg.stop_when_idle;
+        broker_cfg.retry = cfg.retry;
+        if let Some(factory) = &cfg.selector {
+            broker_cfg.selector = Some(factory(seed));
+        }
+
+        let mut actors: Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> = vec![(
+            testbed.broker,
+            Box::new(Broker::new(broker_cfg, cx.sink_of(testbed.broker))),
+        )];
+        for (i, node) in testbed.clients().into_iter().enumerate() {
+            let mut client_cfg = ClientConfig::new(testbed.broker);
+            if i < 8 {
+                let sc = i as u8 + 1;
+                if let Some(accept) = &cfg.task_accept_by_sc {
+                    client_cfg.task_accept_probability = accept[i];
+                }
+                if let Some(refuse) = &cfg.transfer_refuse_by_sc {
+                    client_cfg.transfer_refuse_probability = refuse[i];
+                }
+                let commands = cfg.client_commands_by_sc.iter().flatten();
+                client_cfg.commands.extend(
+                    commands
+                        .filter(|(target, _, _)| *target == sc)
+                        .map(|(_, delay, cmd)| (*delay, cmd.clone())),
+                );
+                let shared = cfg.shared_files_by_sc.iter().flatten();
+                client_cfg.shared_files.extend(
+                    shared
+                        .filter(|(target, _, _)| *target == sc)
+                        .map(|(_, name, bytes)| (name.clone(), *bytes)),
+                );
+            }
+            actors.push((
+                node,
+                Box::new(
+                    SimpleClient::new(client_cfg, seed.wrapping_mul(31).wrapping_add(i as u64))
+                        .with_sink(cx.sink_of(node)),
+                ),
+            ));
+        }
+        actors
+    }
+
+    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
+        overlay_series(interval)
+    }
+
+    fn summarize(&self, _seed: u64, _run: &HarnessRun) -> String {
+        String::new()
+    }
 }
 
 #[cfg(test)]
@@ -1021,6 +905,22 @@ mod tests {
             .err()
             .expect("expected a build error");
         assert_eq!(err, ScenarioError::NonPositiveHorizon);
+    }
+
+    #[test]
+    fn zero_shards_or_workers_are_typed_errors() {
+        let fig5 = || ScenarioConfig::named("fig5").expect("fig5 is a named scenario");
+        for (shards, workers, what) in [(0, 1, "shards"), (3, 0, "shard_workers")] {
+            let err = fig5().sharded(shards, workers).err();
+            assert_eq!(err, Some(ScenarioError::ZeroParallelism { what }));
+            assert_eq!(
+                err.unwrap().to_string(),
+                format!("{what} must be at least 1")
+            );
+        }
+        let err = ScenarioConfig::builder().shards(0).build().err();
+        assert_eq!(err, Some(ScenarioError::ZeroParallelism { what: "shards" }));
+        assert_eq!(fig5().sharded(3, 2).expect("valid axis").shards(), 3);
     }
 
     #[test]

@@ -43,7 +43,6 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::scenario::ScenarioError;
 use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
 use crate::telemetry::streaming_series;
 
@@ -303,6 +302,7 @@ impl Workload for StreamingWorkload<'_> {
         let map = topo_cfg.shard_map(self.cfg.num_shards)?;
         Ok(TopologyPlan {
             topo: built.topo,
+            transport: Default::default(),
             map,
             brokers: built.brokers,
         })
@@ -462,9 +462,9 @@ pub fn summary_json(cfg: &StreamingConfig, seed: u64, result: &StreamingResult) 
 
 /// Runs one streaming replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
-/// shard counts and degenerate parameters surface as [`ScenarioError`]s
+/// shard counts and degenerate parameters surface as [`HarnessError`]s
 /// instead of panics.
-pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<StreamingResult, ScenarioError> {
+pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<StreamingResult, HarnessError> {
     let harness = WorkloadBuilder::new()
         .horizon(cfg.horizon)
         .shard_workers(cfg.shard_workers)
@@ -614,6 +614,6 @@ mod tests {
         )
         .err()
         .expect("nine shards over four regions must be rejected");
-        assert!(matches!(err, ScenarioError::InvalidShardCount { .. }));
+        assert!(matches!(err, HarnessError::InvalidShardCount { .. }));
     }
 }

@@ -59,7 +59,7 @@ pub(crate) fn rss_bytes() -> u64 {
 /// summary. Byte-identical stdout for any `--shard-workers`.
 pub(crate) fn cmd_churn(flags: &Flags) {
     let cfg = ChurnConfig {
-        shard_workers: flags.usize("shard-workers").max(1),
+        shard_workers: flags.usize("shard-workers"),
         ..churn_config(flags)
     };
     let seed = flags.u64("seed");

@@ -44,7 +44,7 @@ pub(crate) const SHARDS: FlagDef = FlagDef {
     name: "shards",
     takes_value: true,
     default: Some("1"),
-    help: "shard domains for the parallel engine (1 = serial)",
+    help: "shard domains, at least 1 (the numbers depend on it)",
 };
 pub(crate) const SHARD_WORKERS: FlagDef = FlagDef {
     name: "shard-workers",

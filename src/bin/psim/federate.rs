@@ -79,7 +79,7 @@ fn run_federation_or_exit(cfg: &FederationConfig, seed: u64) -> FederationResult
 /// human summary. Byte-identical stdout for any `--shard-workers`.
 pub(crate) fn cmd_federate(flags: &Flags) {
     let cfg = FederationConfig {
-        shard_workers: flags.usize("shard-workers").max(1),
+        shard_workers: flags.usize("shard-workers"),
         ..federation_config(flags)
     };
     let seed = flags.u64("seed");

@@ -499,7 +499,7 @@ fn cmd_multiregion(flags: &Flags) {
     let cfg = MultiRegionConfig {
         regions: flags.usize("regions").max(1),
         clients_per_region: flags.usize("clients").max(1),
-        shard_workers: flags.usize("shard-workers").max(1),
+        shard_workers: flags.usize("shard-workers"),
         trace_capacity: Some(1 << 16),
         ..MultiRegionConfig::default()
     };
@@ -537,7 +537,12 @@ fn named_scenario_or_exit(flags: &Flags) -> ScenarioConfig {
         std::process::exit(2);
     };
     match ScenarioConfig::named(name) {
-        Some(cfg) => cfg.sharded(flags.usize("shards"), flags.usize("shard-workers")),
+        Some(cfg) => cfg
+            .sharded(flags.usize("shards"), flags.usize("shard-workers"))
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }),
         None => {
             eprintln!("unknown scenario `{name}`; valid scenarios: {valid}");
             std::process::exit(2);

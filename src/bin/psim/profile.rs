@@ -21,8 +21,7 @@ use netsim::profile::ExecutionProfile;
 use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::TimeSeriesRecorder;
 use workloads::churn::ChurnConfig;
-use workloads::scenario::{run_scenario_telemetry, TelemetryOptions};
-use workloads::telemetry::overlay_series;
+use workloads::scenario::run_scenario_profiled;
 
 use crate::churn::{churn_config, rss_bytes, run_churn_or_exit};
 use crate::{named_scenario_or_exit, write_or_exit, Flags};
@@ -34,7 +33,7 @@ struct ProfileRun {
     regions: usize,
     num_shards: usize,
     series: TimeSeriesRecorder,
-    exec_profile: Option<ExecutionProfile>,
+    exec_profile: ExecutionProfile,
     metrics: Metrics,
     events: u64,
     elapsed: SimTime,
@@ -51,7 +50,7 @@ fn gauge_prefix_sum(m: &Metrics, prefix: &str) -> f64 {
 
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = ChurnConfig {
-        shard_workers: flags.usize("shard-workers").max(1),
+        shard_workers: flags.usize("shard-workers"),
         // The profiler measures the engine and the registry, not the
         // trace ring; tracing stays off like in bench-churn.
         trace_capacity: None,
@@ -66,7 +65,7 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
         regions: cfg.topo.regions,
         num_shards: cfg.num_shards,
         series: result.series.expect("series_interval was set"),
-        exec_profile: result.exec_profile,
+        exec_profile: result.exec_profile.expect("profile_execution was set"),
         metrics: result.metrics,
         events: result.events_processed,
         elapsed: result.elapsed,
@@ -75,15 +74,7 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
 
 fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = named_scenario_or_exit(flags);
-    let recorder = overlay_series(interval).unwrap_or_else(|e| {
-        eprintln!("profile: {e:?}");
-        std::process::exit(2);
-    });
-    let telemetry = TelemetryOptions {
-        series: Some(recorder),
-        profile_execution: true,
-    };
-    let result = run_scenario_telemetry(&cfg, seed, telemetry).unwrap_or_else(|e| {
+    let result = run_scenario_profiled(&cfg, seed, interval).unwrap_or_else(|e| {
         eprintln!("profile: {e}");
         std::process::exit(2);
     });
@@ -92,8 +83,8 @@ fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileR
         peers: result.testbed.len().saturating_sub(1),
         regions: 1,
         num_shards: cfg.shards(),
-        series: result.series.expect("recorder was attached"),
-        exec_profile: result.exec_profile,
+        series: result.series.expect("series_interval was set"),
+        exec_profile: result.exec_profile.expect("profile_execution was set"),
         metrics: result.metrics,
         events: result.events_processed,
         elapsed: result.elapsed,
@@ -121,12 +112,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         write_or_exit(path, &csv);
     }
     if let Some(path) = flags.get("chrome-trace") {
-        match &run.exec_profile {
-            Some(profile) => write_or_exit(path, &profile.chrome_trace_json()),
-            None => {
-                eprintln!("profile: no execution profile on a serial run; skipping --chrome-trace")
-            }
-        }
+        write_or_exit(path, &run.exec_profile.chrome_trace_json());
     }
 
     let registry_bytes = gauge_prefix_sum(&run.metrics, "registry.bytes.");
@@ -145,11 +131,6 @@ pub(crate) fn cmd_profile(flags: &Flags) {
             )
         })
         .collect();
-    let profiler_json = run
-        .exec_profile
-        .as_ref()
-        .map(|p| p.wall_clock_json())
-        .unwrap_or_else(|| "null".into());
     let json = format!(
         "{{\n  \"bench\": \"profile\",\n  \"workload\": \"{}\",\n  \"peers\": {},\n  \
          \"regions\": {},\n  \"num_shards\": {},\n  \"shard_workers\": {},\n  \
@@ -161,7 +142,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         run.peers,
         run.regions,
         run.num_shards,
-        flags.usize("shard-workers").max(1),
+        flags.usize("shard-workers"),
         flags.u64("horizon-secs"),
         interval.as_secs_f64(),
         seed,
@@ -173,7 +154,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         bytes_per_peer,
         components.join(", "),
         run.series.len(),
-        profiler_json,
+        run.exec_profile.wall_clock_json(),
     );
     let out = flags.get("out").expect("table default").to_string();
     write_or_exit(&out, &json);

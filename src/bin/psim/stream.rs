@@ -78,7 +78,7 @@ fn run_streaming_or_exit(cfg: &StreamingConfig, seed: u64) -> StreamingResult {
 /// human summary. Byte-identical stdout for any `--shard-workers`.
 pub(crate) fn cmd_stream(flags: &Flags) {
     let cfg = StreamingConfig {
-        shard_workers: flags.usize("shard-workers").max(1),
+        shard_workers: flags.usize("shard-workers"),
         ..streaming_config(flags)
     };
     let seed = flags.u64("seed");

@@ -1,5 +1,7 @@
 //! Pins the stdout artifacts of the harness-hosted drivers to goldens
-//! captured from the pre-harness implementations.
+//! captured from the pre-harness implementations, and the classic
+//! scenarios' artifacts to goldens captured from their own engine
+//! assembly before they moved onto the harness.
 //!
 //! The `workloads::harness` refactor moved testbed construction,
 //! federation wiring, engine assembly, and artifact rendering out of the
@@ -19,6 +21,8 @@ use workloads::churn::{run_churn, ChurnConfig};
 use workloads::federation::{run_federation, BrokerOutage, FederationConfig};
 use workloads::harness::stdout_artifact;
 use workloads::multiregion::{phase_csv, run_multiregion, MultiRegionConfig};
+use workloads::runner::run_traced;
+use workloads::scenario::{run_scenario_profiled, ScenarioConfig};
 use workloads::synthtopo::SynthTopoConfig;
 
 /// `psim churn --regions 4 --peers 24 --num-shards 4 --horizon-secs 600
@@ -37,6 +41,19 @@ const FEDERATION_GOLDEN: &str = include_str!("goldens/federation.txt");
 /// --horizon-secs 900 --kill-broker-at 300 --seed 11 >
 /// tests/goldens/federation_kill.txt`
 const FEDERATION_KILL_GOLDEN: &str = include_str!("goldens/federation_kill.txt");
+
+/// `stdout_artifact(trace, metrics, "")` of `runner::run_traced` on the
+/// `fig5-lossy` scenario at seed 7 (one shard): the trace JSONL of
+/// `psim trace fig5-lossy --seed 7` followed by its metrics snapshot.
+const FIG5_LOSSY_GOLDEN: &str = include_str!("goldens/fig5_lossy.txt");
+
+/// As [`FIG5_LOSSY_GOLDEN`] for `fig5` at seed 7 on three shards: the
+/// artifact behind `psim trace fig5 --seed 7 --shards 3`.
+const FIG5_SHARDED_GOLDEN: &str = include_str!("goldens/fig5_sharded.txt");
+
+/// `psim profile fig5 --seed 1 > tests/goldens/profile_fig5.txt`: the
+/// one-shard series CSV followed by the Prometheus exposition.
+const PROFILE_FIG5_GOLDEN: &str = include_str!("goldens/profile_fig5.txt");
 
 const SEED: u64 = 11;
 
@@ -163,4 +180,38 @@ fn federation_failover_artifact_matches_pre_harness_golden() {
             FEDERATION_KILL_GOLDEN,
         );
     }
+}
+
+fn traced_artifact(cfg: &ScenarioConfig, seed: u64) -> String {
+    let run = run_traced(cfg, seed);
+    stdout_artifact(&run.result.trace, &run.result.metrics, "")
+}
+
+#[test]
+fn lossy_scenario_artifact_matches_pre_harness_golden() {
+    let cfg = ScenarioConfig::named("fig5-lossy").expect("a named scenario");
+    assert_matches_golden(
+        "fig5-lossy",
+        1,
+        &traced_artifact(&cfg, 7),
+        FIG5_LOSSY_GOLDEN,
+    );
+}
+
+#[test]
+fn sharded_scenario_artifact_matches_pre_harness_golden() {
+    for workers in [1usize, 2, 4] {
+        let cfg = ScenarioConfig::named("fig5").and_then(|c| c.sharded(3, workers).ok());
+        let artifact = traced_artifact(&cfg.expect("fig5 at 3 shards"), 7);
+        assert_matches_golden("fig5 (3 shards)", workers, &artifact, FIG5_SHARDED_GOLDEN);
+    }
+}
+
+#[test]
+fn scenario_profile_matches_pre_harness_golden() {
+    let cfg = ScenarioConfig::named("fig5").expect("a named scenario");
+    let result = run_scenario_profiled(&cfg, 1, SimDuration::from_secs(60)).expect("valid");
+    let csv = result.series.expect("series_interval was set").to_csv();
+    let artifact = csv + &result.metrics.render_prometheus("psim_profile");
+    assert_matches_golden("profile fig5", 1, &artifact, PROFILE_FIG5_GOLDEN);
 }
