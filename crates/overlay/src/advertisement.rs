@@ -6,10 +6,12 @@
 //! answer discovery queries from that cache; expired advertisements are
 //! purged lazily.
 
+use netsim::engine::Context;
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::id::{ContentId, PeerId, PipeId};
+use crate::message::OverlayMsg;
 
 /// Announces a peer and its capabilities.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +33,25 @@ pub struct PeerAdvertisement {
 }
 
 impl PeerAdvertisement {
+    /// What a peer joins (or rejoins) its broker with: this host under its
+    /// testbed name, published now, valid for [`DEFAULT_LIFETIME`].
+    pub(crate) fn join(
+        ctx: &Context<OverlayMsg>,
+        peer: PeerId,
+        cpu_gops: f64,
+        accepts_tasks: bool,
+    ) -> Self {
+        PeerAdvertisement {
+            peer,
+            node: ctx.self_id(),
+            name: ctx.node_name(ctx.self_id()).to_string(),
+            cpu_gops,
+            accepts_tasks,
+            published: ctx.now(),
+            lifetime: DEFAULT_LIFETIME,
+        }
+    }
+
     /// True once the advertisement's lifetime has elapsed.
     pub fn is_expired(&self, now: SimTime) -> bool {
         now > self.published + self.lifetime

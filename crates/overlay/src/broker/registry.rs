@@ -349,9 +349,15 @@ impl PeerRegistry {
         self.content.get(name)
     }
 
-    /// Mutable access to the holdings list for `name`, creating it empty.
-    pub(crate) fn holdings_mut(&mut self, name: &str) -> &mut Vec<Holding> {
-        self.content.entry(name.to_string()).or_default()
+    /// Records a published copy. A peer that publishes a name it already
+    /// holds (every rejoin republishes) refreshes its holding in place, so
+    /// discovery and owner selection see each (peer, name) once.
+    pub(crate) fn publish(&mut self, holding: Holding) {
+        let holdings = self.content.entry(holding.adv.name.clone()).or_default();
+        match holdings.iter_mut().find(|h| h.peer == holding.peer) {
+            Some(held) => *held = holding,
+            None => holdings.push(holding),
+        }
     }
 
     /// Published content whose name contains `pattern`.
@@ -596,7 +602,7 @@ impl Broker {
         adv: ContentAdvertisement,
     ) {
         let node = self.registry.node_of(adv.owner).unwrap_or(from);
-        self.registry.holdings_mut(&adv.name).push(Holding {
+        self.registry.publish(Holding {
             peer: adv.owner,
             node,
             content: adv.content,

@@ -758,3 +758,84 @@ fn one_gossip_round_shares_one_roster_allocation() {
         assert_eq!(msg.wire_size(), 24 + 2 * 200 + names);
     }
 }
+
+/// Asks its broker for every published advertisement at `at` and keeps
+/// the names it hears back.
+struct ContentProbe {
+    broker: NodeId,
+    at: SimDuration,
+    seen: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+}
+
+impl Actor<OverlayMsg> for ContentProbe {
+    fn on_start(&mut self, ctx: &mut Context<OverlayMsg>) {
+        ctx.schedule_timer(self.at, 0);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<OverlayMsg>, _from: NodeId, msg: OverlayMsg) {
+        if let OverlayMsg::DiscoverContentResponse { adverts } = msg {
+            let mut seen = self.seen.lock().unwrap();
+            seen.extend(adverts.into_iter().map(|a| a.name));
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<OverlayMsg>, _timer: TimerId, _tag: u64) {
+        let pattern = String::new();
+        ctx.send(self.broker, OverlayMsg::DiscoverContent { pattern });
+    }
+}
+
+#[test]
+fn rejoin_refreshes_content_holdings_instead_of_duplicating_them() {
+    let sink = RecordSink::new();
+    let mut broker_cfg =
+        BrokerConfig::new(26).with_selector(Box::new(crate::selector::RoundRobinSelector::new()));
+    broker_cfg.stop_when_idle = false;
+    let (mut engine, broker, clients) = star_with(
+        3,
+        broker_cfg,
+        |i, broker| {
+            let cfg = ClientConfig::new(broker);
+            let secs = SimDuration::from_secs;
+            match i {
+                // Every JoinAck republishes the shared file.
+                0 => cfg
+                    .sharing("dataset.bin", 1 << 20)
+                    .at(secs(10), ClientCommand::Leave)
+                    .at(secs(20), ClientCommand::Rejoin),
+                1 => cfg.at(
+                    secs(60),
+                    ClientCommand::RequestFile {
+                        name: "dataset.bin".into(),
+                    },
+                ),
+                // Replaced by the probe below.
+                _ => cfg,
+            }
+        },
+        &sink,
+    );
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    engine.register(
+        clients[2],
+        Box::new(ContentProbe {
+            broker,
+            at: SimDuration::from_secs(30),
+            seen: seen.clone(),
+        }),
+    );
+    engine.run_until(SimTime::from_secs_f64(600.0));
+    assert_eq!(engine.metrics().counter("overlay.content_published"), 2);
+    assert_eq!(
+        *seen.lock().unwrap(),
+        vec!["dataset.bin".to_string()],
+        "the rejoined owner is listed once"
+    );
+    let log = sink.drain();
+    assert!(
+        log.selections.is_empty(),
+        "a lone owner needs no selection among duplicates of itself"
+    );
+    let served = log.transfers.iter().find(|t| t.label == "dataset.bin");
+    assert!(served.is_some_and(|t| t.to == clients[1] && t.completed_at.is_some()));
+}

@@ -11,18 +11,17 @@
 //! **submit jobs** of their own which the broker places via its selection
 //! model.
 
-use std::collections::HashMap;
-
 use netsim::engine::{Actor, Context, TimerId};
 use netsim::node::NodeId;
 use netsim::time::SimDuration;
 use netsim::trace::{SpanKind, TraceEventKind};
 
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement, DEFAULT_LIFETIME};
-use crate::filetransfer::{InboundTransfer, OutboundTransfer, PartReceipt};
-use crate::id::{ContentId, IdGenerator, PeerId, TaskId, TransferId};
+use crate::filetransfer::OutboundTransfer;
+use crate::id::{ContentId, IdGenerator, PeerId, TransferId};
 use crate::message::OverlayMsg;
 use crate::records::RecordSink;
+use crate::recvflow::{Received, ReceiverFlow};
 use crate::sendflow::SenderFlow;
 use crate::stats::PeerStats;
 
@@ -131,25 +130,11 @@ pub struct SimpleClient {
     ids: IdGenerator,
     peer_id: PeerId,
     joined: bool,
-    inbound: HashMap<TransferId, InboundTransfer>,
+    /// Transfers this peer receives and tasks it runs.
+    inbound: ReceiverFlow,
     /// Transfers this peer is *sending* (instructed by the broker).
     outbound: SenderFlow,
-    outbound_started: HashMap<TransferId, netsim::time::SimTime>,
-    /// Running tasks keyed by their completion-timer tag.
-    running: HashMap<u64, RunningTask>,
-    next_task_tag: u64,
     stats: Option<PeerStats>,
-    sink: Option<RecordSink>,
-    /// Counters exposed for tests and examples.
-    pub instants_received: u64,
-    /// Job completions this client has been notified of: (label, success).
-    pub jobs_done: Vec<(String, bool)>,
-}
-
-struct RunningTask {
-    id: TaskId,
-    exec_secs: f64,
-    success: bool,
 }
 
 impl SimpleClient {
@@ -161,22 +146,16 @@ impl SimpleClient {
             ids,
             cfg,
             joined: false,
-            inbound: HashMap::new(),
+            inbound: ReceiverFlow::new(TASK_TAG_BASE),
             outbound: SenderFlow::new(),
-            outbound_started: HashMap::new(),
-            running: HashMap::new(),
-            next_task_tag: TASK_TAG_BASE,
             stats: None,
-            sink: None,
-            instants_received: 0,
-            jobs_done: Vec::new(),
         }
     }
 
     /// Attaches a record sink so peer-to-peer transfers this client serves
-    /// appear in the run log.
+    /// appear in the run log, and the ones it receives carry its byte tally.
     pub fn with_sink(mut self, sink: RecordSink) -> Self {
-        self.sink = Some(sink.clone());
+        self.inbound.set_sink(sink.clone());
         self.outbound.set_sink(sink);
         self
     }
@@ -186,23 +165,11 @@ impl SimpleClient {
         self.peer_id
     }
 
-    /// Whether the broker has confirmed membership.
-    pub fn is_joined(&self) -> bool {
-        self.joined
-    }
-
-    /// Number of in-flight inbound transfers.
-    pub fn inbound_transfers(&self) -> usize {
-        self.inbound.len()
-    }
-
     fn touch_gauges(&mut self, now: netsim::time::SimTime) {
-        let load = (self.inbound.len() + self.running.len()) as u32;
         if let Some(stats) = &mut self.stats {
-            stats.inbox.set(now, load);
-            stats
-                .outbox
-                .set(now, (self.running.len() + self.outbound.len()) as u32);
+            stats.inbox.set(now, self.inbound.load() as u32);
+            let sending = self.inbound.running_len() + self.outbound.len();
+            stats.outbox.set(now, sending as u32);
         }
     }
 
@@ -243,15 +210,8 @@ impl SimpleClient {
             }
             ClientCommand::Rejoin => {
                 if !self.joined {
-                    let adv = PeerAdvertisement {
-                        peer: self.peer_id,
-                        node: ctx.self_id(),
-                        name: ctx.node_name(ctx.self_id()).to_string(),
-                        cpu_gops: self.cfg.cpu_gops,
-                        accepts_tasks: self.cfg.accepts_tasks,
-                        published: ctx.now(),
-                        lifetime: DEFAULT_LIFETIME,
-                    };
+                    let (cpu, tasks) = (self.cfg.cpu_gops, self.cfg.accepts_tasks);
+                    let adv = PeerAdvertisement::join(ctx, self.peer_id, cpu, tasks);
                     ctx.send(self.cfg.broker, OverlayMsg::Join(adv));
                 }
             }
@@ -262,15 +222,8 @@ impl SimpleClient {
 impl Actor<OverlayMsg> for SimpleClient {
     fn on_start(&mut self, ctx: &mut Context<OverlayMsg>) {
         self.stats = Some(PeerStats::new(ctx.now(), self.cfg.cpu_gops));
-        let adv = PeerAdvertisement {
-            peer: self.peer_id,
-            node: ctx.self_id(),
-            name: ctx.node_name(ctx.self_id()).to_string(),
-            cpu_gops: self.cfg.cpu_gops,
-            accepts_tasks: self.cfg.accepts_tasks,
-            published: ctx.now(),
-            lifetime: DEFAULT_LIFETIME,
-        };
+        let (cpu, tasks) = (self.cfg.cpu_gops, self.cfg.accepts_tasks);
+        let adv = PeerAdvertisement::join(ctx, self.peer_id, cpu, tasks);
         ctx.send(self.cfg.broker, OverlayMsg::Join(adv));
         ctx.schedule_timer(self.cfg.stats_interval, STATS_TIMER_TAG);
         let commands = std::mem::take(&mut self.cfg.commands);
@@ -282,6 +235,27 @@ impl Actor<OverlayMsg> for SimpleClient {
 
     fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
         let now = ctx.now();
+        let cfg = &self.cfg;
+        let received = self.inbound.on_message(
+            ctx,
+            from,
+            &msg,
+            |ctx| !cfg.refuse_transfers && !ctx.rng().bernoulli(cfg.transfer_refuse_probability),
+            |ctx| cfg.accepts_tasks && ctx.rng().bernoulli(cfg.task_accept_probability),
+            |ctx| !ctx.rng().bernoulli(cfg.task_failure_probability),
+        );
+        match received {
+            // A rejected offer leaves the message tally alone.
+            Some(Received::TaskRejected) => return,
+            Some(Received::Opened | Received::TaskAccepted) => self.touch_gauges(now),
+            Some(Received::Ended(completed)) => {
+                if let Some(stats) = &mut self.stats {
+                    stats.record_file_send(completed);
+                }
+                self.touch_gauges(now);
+            }
+            Some(Received::Refused) | None => {}
+        }
         match msg {
             OverlayMsg::JoinAck { .. } => {
                 self.joined = true;
@@ -298,92 +272,6 @@ impl Actor<OverlayMsg> for SimpleClient {
                     };
                     ctx.send(self.cfg.broker, OverlayMsg::PublishContent(adv));
                 }
-            }
-            OverlayMsg::FilePetition {
-                transfer,
-                num_parts,
-                sent_at,
-                ..
-            } => {
-                // A duplicate petition (retransmitted after a lost ack) must
-                // not reset in-progress receive state.
-                let already_known = self.inbound.contains_key(&transfer);
-                let accepted = already_known
-                    || (!self.cfg.refuse_transfers
-                        && !ctx.rng().bernoulli(self.cfg.transfer_refuse_probability));
-                if accepted && !already_known {
-                    self.inbound
-                        .insert(transfer, InboundTransfer::new(transfer, num_parts, now));
-                    self.touch_gauges(now);
-                }
-                ctx.send(
-                    from,
-                    OverlayMsg::PetitionAck {
-                        transfer,
-                        accepted,
-                        petition_sent_at: sent_at,
-                        handled_at: now,
-                    },
-                );
-            }
-            OverlayMsg::FilePart {
-                transfer,
-                index,
-                size,
-            } => {
-                if let Some(inb) = self.inbound.get_mut(&transfer) {
-                    // Duplicates still get a confirm — the original confirm
-                    // may have been lost — but are not counted twice. Gaps
-                    // (an index ahead of the stop-and-wait window) are
-                    // rejected and never confirmed: confirming one would
-                    // advance the sender past a part we don't have.
-                    let receipt = inb.on_part(index, size);
-                    if receipt == PartReceipt::Gap {
-                        let expected = inb.received;
-                        if ctx.trace_enabled() {
-                            ctx.trace_event(TraceEventKind::PartGap {
-                                transfer: transfer.raw(),
-                                index,
-                                expected,
-                            });
-                        }
-                    } else {
-                        if receipt == PartReceipt::Last {
-                            // The receiver-side tally is complete the moment
-                            // the last part lands; don't wait for
-                            // TransferComplete, which is unacked and can be
-                            // lost on a lossy transport.
-                            let bytes = inb.bytes;
-                            if let Some(sink) = &self.sink {
-                                sink.with(|log| {
-                                    if let Some(rec) = log.transfer_mut(transfer) {
-                                        rec.receiver_bytes = Some(bytes);
-                                    }
-                                });
-                            }
-                        }
-                        ctx.send(from, OverlayMsg::PartConfirm { transfer, index });
-                    }
-                }
-                // Parts for unknown transfers are silently dropped (stale).
-            }
-            OverlayMsg::TransferComplete { transfer } | OverlayMsg::TransferCancel { transfer } => {
-                let inb = self.inbound.remove(&transfer);
-                let completed = inb.as_ref().is_some_and(|i| i.received >= i.expected_parts);
-                // Report the receiver-side byte tally back into the shared
-                // record: experiments cross-check it against file_size.
-                if let (Some(sink), Some(inb)) = (&self.sink, inb.as_ref()) {
-                    let bytes = inb.bytes;
-                    sink.with(|log| {
-                        if let Some(rec) = log.transfer_mut(transfer) {
-                            rec.receiver_bytes = Some(bytes);
-                        }
-                    });
-                }
-                if let Some(stats) = &mut self.stats {
-                    stats.record_file_send(completed);
-                }
-                self.touch_gauges(now);
             }
             // ---- sender side: the broker told us to serve a file --------
             OverlayMsg::TransferInstruction {
@@ -417,7 +305,6 @@ impl Actor<OverlayMsg> for SimpleClient {
                         sent_at: now,
                     },
                 );
-                self.outbound_started.insert(id, now);
                 self.touch_gauges(now);
             }
             OverlayMsg::PetitionAck {
@@ -458,15 +345,12 @@ impl Actor<OverlayMsg> for SimpleClient {
                     );
                 } else if !accepted {
                     if let Some(t) = self.outbound.finish(transfer) {
-                        let started = self.outbound_started.remove(&transfer);
                         ctx.send(
                             self.cfg.broker,
                             OverlayMsg::TransferReport {
                                 transfer,
                                 ok: false,
-                                elapsed_secs: started
-                                    .map(|s| now.duration_since(s).as_secs_f64())
-                                    .unwrap_or(0.0),
+                                elapsed_secs: now.duration_since(t.petition_sent_at).as_secs_f64(),
                                 bytes: t.file.size_bytes,
                             },
                         );
@@ -524,7 +408,6 @@ impl Actor<OverlayMsg> for SimpleClient {
                     }
                     Some((None, true)) => {
                         let t = self.outbound.finish(transfer).expect("present");
-                        let started = self.outbound_started.remove(&transfer);
                         if ctx.trace_enabled() {
                             ctx.trace_event(TraceEventKind::TransferCompleted {
                                 transfer: transfer.raw(),
@@ -537,15 +420,12 @@ impl Actor<OverlayMsg> for SimpleClient {
                             });
                         }
                         ctx.send(from, OverlayMsg::TransferComplete { transfer });
-                        let elapsed = started
-                            .map(|s| now.duration_since(s).as_secs_f64())
-                            .unwrap_or(0.0);
                         ctx.send(
                             self.cfg.broker,
                             OverlayMsg::TransferReport {
                                 transfer,
                                 ok: true,
-                                elapsed_secs: elapsed,
+                                elapsed_secs: now.duration_since(t.petition_sent_at).as_secs_f64(),
                                 bytes: t.file.size_bytes,
                             },
                         );
@@ -558,41 +438,9 @@ impl Actor<OverlayMsg> for SimpleClient {
                     _ => {}
                 }
             }
-            OverlayMsg::TaskOffer { task, .. } => {
-                let accept =
-                    self.cfg.accepts_tasks && ctx.rng().bernoulli(self.cfg.task_accept_probability);
-                if !accept {
-                    ctx.send(from, OverlayMsg::TaskReject { task: task.id });
-                    return;
-                }
-                ctx.send(from, OverlayMsg::TaskAccept { task: task.id });
-                let exec = ctx.execution_time(task.work_gops);
-                let success = !ctx.rng().bernoulli(self.cfg.task_failure_probability);
-                let tag = self.next_task_tag;
-                self.next_task_tag += 1;
-                self.running.insert(
-                    tag,
-                    RunningTask {
-                        id: task.id,
-                        exec_secs: exec.as_secs_f64(),
-                        success,
-                    },
-                );
-                self.touch_gauges(now);
-                ctx.schedule_timer(exec, tag);
-            }
-            OverlayMsg::JobDone { label, success, .. } => {
-                self.jobs_done.push((label, success));
-            }
-            OverlayMsg::Ping { nonce, sent_at } => {
-                ctx.send(from, OverlayMsg::Pong { nonce, sent_at });
-            }
-            OverlayMsg::Instant { .. } => {
-                self.instants_received += 1;
-            }
-            _ => {
-                // Remaining messages are not addressed to clients.
-            }
+            // Receive-side messages were handled above; the rest are not
+            // addressed to clients.
+            _ => {}
         }
         if let Some(stats) = &mut self.stats {
             stats.record_message(now, true);
@@ -603,9 +451,7 @@ impl Actor<OverlayMsg> for SimpleClient {
         let now = ctx.now();
         if tag == STATS_TIMER_TAG {
             if let Some(stats) = &mut self.stats {
-                stats
-                    .inbox
-                    .set(now, (self.inbound.len() + self.running.len()) as u32);
+                stats.inbox.set(now, self.inbound.load() as u32);
                 let snapshot = stats.snapshot(now, 24);
                 ctx.send(
                     self.cfg.broker,
@@ -625,19 +471,11 @@ impl Actor<OverlayMsg> for SimpleClient {
             }
             return;
         }
-        if let Some(done) = self.running.remove(&tag) {
+        if let Some(success) = self.inbound.on_timer(ctx, tag, self.cfg.broker) {
             if let Some(stats) = &mut self.stats {
-                stats.record_task_execution(done.success);
+                stats.record_task_execution(success);
             }
             self.touch_gauges(now);
-            ctx.send(
-                self.cfg.broker,
-                OverlayMsg::TaskResult {
-                    task: done.id,
-                    success: done.success,
-                    exec_secs: done.exec_secs,
-                },
-            );
         }
     }
 }
@@ -656,15 +494,6 @@ mod tests {
         assert_ne!(a.peer_id(), b.peer_id());
         let a2 = SimpleClient::new(ClientConfig::new(NodeId(0)), 1);
         assert_eq!(a.peer_id(), a2.peer_id());
-    }
-
-    #[test]
-    fn starts_unjoined_and_idle() {
-        let c = SimpleClient::new(ClientConfig::new(NodeId(0)), 3);
-        assert!(!c.is_joined());
-        assert_eq!(c.inbound_transfers(), 0);
-        assert_eq!(c.instants_received, 0);
-        assert!(c.jobs_done.is_empty());
     }
 
     #[test]

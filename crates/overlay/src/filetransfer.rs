@@ -161,19 +161,16 @@ impl OutboundTransfer {
     }
 }
 
-/// Receiver-side state of one inbound transfer.
+/// Receiver-side state of one inbound transfer, kept by
+/// [`crate::recvflow::ReceiverFlow`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct InboundTransfer {
-    /// Transfer identity.
-    pub id: TransferId,
+pub(crate) struct InboundTransfer {
     /// Expected number of parts.
-    pub expected_parts: u32,
+    pub(crate) expected_parts: u32,
     /// Parts received so far (distinct indices).
-    pub received: u32,
+    pub(crate) received: u32,
     /// Bytes received so far (duplicates excluded).
-    pub bytes: u64,
-    /// When the petition was handled.
-    pub petition_handled_at: SimTime,
+    pub(crate) bytes: u64,
 }
 
 /// What a received part meant to the receiver.
@@ -194,20 +191,18 @@ pub enum PartReceipt {
 
 impl InboundTransfer {
     /// Creates receiver state when the petition is accepted.
-    pub fn new(id: TransferId, expected_parts: u32, now: SimTime) -> Self {
+    pub(crate) fn new(expected_parts: u32) -> Self {
         InboundTransfer {
-            id,
             expected_parts,
             received: 0,
             bytes: 0,
-            petition_handled_at: now,
         }
     }
 
     /// Records part `index`; stop-and-wait means parts arrive in order, so
     /// any index below the next expected one is a retransmission and any
     /// index above it is a gap (rejected without touching the tallies).
-    pub fn on_part(&mut self, index: u32, size: u64) -> PartReceipt {
+    pub(crate) fn on_part(&mut self, index: u32, size: u64) -> PartReceipt {
         if index < self.received {
             return PartReceipt::Duplicate;
         }
@@ -360,8 +355,7 @@ mod tests {
 
     #[test]
     fn inbound_counts_parts_and_dedupes() {
-        let mut g = IdGenerator::new(3);
-        let mut r = InboundTransfer::new(TransferId::generate(&mut g), 3, SimTime::ZERO);
+        let mut r = InboundTransfer::new(3);
         assert_eq!(r.on_part(0, 10), PartReceipt::New);
         // Retransmission of part 0: acknowledged but not double-counted.
         assert_eq!(r.on_part(0, 10), PartReceipt::Duplicate);
@@ -373,8 +367,7 @@ mod tests {
 
     #[test]
     fn inbound_rejects_index_gaps() {
-        let mut g = IdGenerator::new(4);
-        let mut r = InboundTransfer::new(TransferId::generate(&mut g), 4, SimTime::ZERO);
+        let mut r = InboundTransfer::new(4);
         assert_eq!(r.on_part(0, 10), PartReceipt::New);
         // Index 2 while expecting 1: a gap must not advance the tallies.
         assert_eq!(r.on_part(2, 10), PartReceipt::Gap);
@@ -390,8 +383,7 @@ mod tests {
 
     #[test]
     fn inbound_duplicate_of_last_part_stays_duplicate() {
-        let mut g = IdGenerator::new(5);
-        let mut r = InboundTransfer::new(TransferId::generate(&mut g), 2, SimTime::ZERO);
+        let mut r = InboundTransfer::new(2);
         assert_eq!(r.on_part(0, 10), PartReceipt::New);
         assert_eq!(r.on_part(1, 10), PartReceipt::Last);
         // A retransmitted final part must read as a duplicate, not as a

@@ -12,14 +12,14 @@
 //! * [`stats`] — the resource-statistics interface of paper §2.2: every
 //!   criterion the data-evaluator selection model weighs.
 //! * [`filetransfer`] — the petition → ack → stop-and-wait-parts protocol
-//!   the paper measures in §4.2; [`sendflow`] — the shared sender-side
-//!   state machine (window + record invariants) both broker and client
-//!   drive it with.
+//!   the paper measures in §4.2; the crate-private `sendflow` (the sender
+//!   state machine broker and client share) and `recvflow` (the one
+//!   receiving side every work-serving peer composes) drive it.
 //! * [`task`] — executable-task lifecycle.
 //! * [`client`] — the SimpleClient edge peer; [`gui`] — the GUI client
 //!   (SimpleClient plus a simulated interactive user); [`lifecycle`] — the
 //!   scripted churn peer that joins, leaves, and rejoins on a pre-sampled
-//!   schedule.
+//!   schedule. Both peers receive through the shared `recvflow`.
 //! * [`broker`] — the governor: registry, statistics aggregation, transfer
 //!   and task coordination, scripted commands, and the selection hook.
 //! * [`federation`] — multi-broker wiring: the validating
@@ -49,8 +49,9 @@ pub mod lifecycle;
 pub mod message;
 pub mod pipe;
 pub mod records;
+pub(crate) mod recvflow;
 pub mod selector;
-pub mod sendflow;
+pub(crate) mod sendflow;
 pub mod stats;
 pub mod streaming;
 pub mod task;

@@ -14,16 +14,14 @@
 //! seed — byte-identical at any worker count. All session timers are
 //! armed absolutely at `on_start`.
 //!
-//! While `Connected` the peer behaves like a minimal receiver: it accepts
-//! petitions, confirms parts, executes offered tasks. In any other state
-//! it *refuses* new work (petition NAK / task reject) rather than
-//! black-holing it — the overlay analogue of a TCP RST from a host whose
-//! application has exited — so churn runs wind down through refusal paths
-//! instead of hour-long watchdog timeouts. Parts already in flight when
-//! the peer departs are silently dropped and left to the sender's retry
-//! policy, like a real mid-transfer crash.
-
-use std::collections::HashMap;
+//! While `Connected` the peer is a receiver on the shared
+//! `recvflow::ReceiverFlow`: it accepts petitions, confirms parts, executes
+//! offered tasks. In any other state it *refuses* new work (petition NAK /
+//! task reject) rather than black-holing it — the overlay analogue of a
+//! TCP RST from a host whose application has exited — so churn runs wind
+//! down through refusal paths instead of hour-long watchdog timeouts.
+//! Parts already in flight when the peer departs are silently dropped and
+//! left to the sender's retry policy, like a real mid-transfer crash.
 
 use netsim::engine::{Actor, Context, TimerId};
 use netsim::metrics::{MetricId, Metrics};
@@ -32,12 +30,12 @@ use netsim::rng::{DelayDistribution, SimRng};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::TraceEventKind;
 
-use crate::advertisement::{PeerAdvertisement, DEFAULT_LIFETIME};
+use crate::advertisement::PeerAdvertisement;
 use crate::federation::FailoverPolicy;
-use crate::filetransfer::{InboundTransfer, PartReceipt};
-use crate::footprint::{map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint};
-use crate::id::{IdGenerator, PeerId, TransferId};
+use crate::footprint::{slots_estimate, FootprintBreakdown, MemoryFootprint};
+use crate::id::{IdGenerator, PeerId};
 use crate::message::OverlayMsg;
+use crate::recvflow::{Received, ReceiverFlow};
 
 /// Timer tags `2*i` / `2*i + 1` mark session `i`'s join / leave.
 const SESSION_TAG_SPAN: u64 = 1 << 32;
@@ -200,11 +198,6 @@ pub struct LifecycleConfig {
     pub failover: Option<FailoverPolicy>,
 }
 
-struct RunningTask {
-    id: crate::id::TaskId,
-    exec_secs: f64,
-}
-
 /// The churn actor: a peer that follows its [`LifecycleScript`].
 pub struct LifecyclePeer {
     cfg: LifecycleConfig,
@@ -219,9 +212,8 @@ pub struct LifecyclePeer {
     /// Monotone epoch: bumped at every join and leave so probe timers
     /// armed for an earlier connected period die as stale tags.
     probe_epoch: u64,
-    inbound: HashMap<TransferId, InboundTransfer>,
-    running: HashMap<u64, RunningTask>,
-    next_task_tag: u64,
+    /// Transfers this peer receives and tasks it runs.
+    inbound: ReceiverFlow,
     counters: Option<LifecycleCounters>,
 }
 
@@ -240,9 +232,7 @@ impl LifecyclePeer {
             home_idx: 0,
             last_ok: SimTime::ZERO,
             probe_epoch: 0,
-            inbound: HashMap::new(),
-            running: HashMap::new(),
-            next_task_tag: TASK_TAG_BASE,
+            inbound: ReceiverFlow::new(TASK_TAG_BASE),
             counters: None,
         }
     }
@@ -274,15 +264,8 @@ impl LifecyclePeer {
     /// the ack. Shared by scripted joins and failover re-homes — only the
     /// former count as joins/rejoins.
     fn send_advert(&mut self, ctx: &mut Context<OverlayMsg>, session: usize) {
-        let adv = PeerAdvertisement {
-            peer: self.peer_id,
-            node: ctx.self_id(),
-            name: ctx.node_name(ctx.self_id()).to_string(),
-            cpu_gops: self.cfg.script.sessions[session].cpu_gops,
-            accepts_tasks: self.cfg.accepts_tasks,
-            published: ctx.now(),
-            lifetime: DEFAULT_LIFETIME,
-        };
+        let cpu_gops = self.cfg.script.sessions[session].cpu_gops;
+        let adv = PeerAdvertisement::join(ctx, self.peer_id, cpu_gops, self.cfg.accepts_tasks);
         ctx.send(self.broker(), OverlayMsg::Join(adv));
         self.state = LifecycleState::Identified;
     }
@@ -323,7 +306,7 @@ impl LifecyclePeer {
             // In-flight receive state belonged to transfers the dead
             // broker drove; its retry engine is gone, so drop them and
             // let the new home re-petition.
-            self.inbound.clear();
+            self.inbound.drop_inbound();
             self.send_advert(ctx, self.session);
         }
         ctx.send(
@@ -344,9 +327,7 @@ impl MemoryFootprint for LifecyclePeer {
     fn memory_footprint(&self) -> FootprintBreakdown {
         FootprintBreakdown {
             scripts: slots_estimate::<SessionPlan>(self.cfg.script.sessions.len()),
-            content: map_estimate::<TransferId, InboundTransfer>(self.inbound.len()),
-            stats: map_estimate::<u64, RunningTask>(self.running.len()),
-            ..FootprintBreakdown::default()
+            ..self.inbound.footprint()
         }
     }
 }
@@ -370,85 +351,24 @@ impl Actor<OverlayMsg> for LifecyclePeer {
     fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
         let now = ctx.now();
         let connected = self.state == LifecycleState::Connected;
+        let takes_tasks = connected && self.cfg.accepts_tasks;
+        let received =
+            self.inbound
+                .on_message(ctx, from, &msg, |_| connected, |_| takes_tasks, |_| true);
+        match received {
+            Some(Received::Refused) => self.bump(ctx, |c| c.refused_petitions),
+            Some(Received::TaskRejected) => self.bump(ctx, |c| c.refused_tasks),
+            _ => {}
+        }
         match msg {
             OverlayMsg::JoinAck { .. } if self.state == LifecycleState::Identified => {
                 self.state = LifecycleState::Connected;
                 self.last_ok = now;
             }
-            OverlayMsg::JoinAck { .. } => {}
             // Any sign of life from the current home resets the failover
             // clock (stale pongs from an abandoned broker are filtered by
             // sender).
-            OverlayMsg::Pong { .. } if from == self.broker() => {
-                self.last_ok = now;
-            }
-            OverlayMsg::Pong { .. } => {}
-            OverlayMsg::FilePetition {
-                transfer,
-                num_parts,
-                sent_at,
-                ..
-            } => {
-                // Same duplicate discipline as SimpleClient: a retransmitted
-                // petition for a known transfer must not reset its state.
-                let already_known = self.inbound.contains_key(&transfer);
-                let accepted = connected || already_known;
-                if accepted && !already_known {
-                    self.inbound
-                        .insert(transfer, InboundTransfer::new(transfer, num_parts, now));
-                }
-                if !accepted {
-                    self.bump(ctx, |c| c.refused_petitions);
-                }
-                ctx.send(
-                    from,
-                    OverlayMsg::PetitionAck {
-                        transfer,
-                        accepted,
-                        petition_sent_at: sent_at,
-                        handled_at: now,
-                    },
-                );
-            }
-            OverlayMsg::FilePart {
-                transfer,
-                index,
-                size,
-            } => {
-                // Parts for unknown transfers (including everything after a
-                // mid-transfer departure) are dropped: the sender's retry
-                // policy owns the failure.
-                if let Some(inb) = self.inbound.get_mut(&transfer) {
-                    if inb.on_part(index, size) != PartReceipt::Gap {
-                        ctx.send(from, OverlayMsg::PartConfirm { transfer, index });
-                    }
-                }
-            }
-            OverlayMsg::TransferComplete { transfer } | OverlayMsg::TransferCancel { transfer } => {
-                self.inbound.remove(&transfer);
-            }
-            OverlayMsg::TaskOffer { task, .. } => {
-                if connected && self.cfg.accepts_tasks {
-                    ctx.send(from, OverlayMsg::TaskAccept { task: task.id });
-                    let exec = ctx.execution_time(task.work_gops);
-                    let tag = self.next_task_tag;
-                    self.next_task_tag += 1;
-                    self.running.insert(
-                        tag,
-                        RunningTask {
-                            id: task.id,
-                            exec_secs: exec.as_secs_f64(),
-                        },
-                    );
-                    ctx.schedule_timer(exec, tag);
-                } else {
-                    self.bump(ctx, |c| c.refused_tasks);
-                    ctx.send(from, OverlayMsg::TaskReject { task: task.id });
-                }
-            }
-            OverlayMsg::Ping { nonce, sent_at } => {
-                ctx.send(from, OverlayMsg::Pong { nonce, sent_at });
-            }
+            OverlayMsg::Pong { .. } if from == self.broker() => self.last_ok = now,
             _ => {}
         }
     }
@@ -459,16 +379,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
             return;
         }
         if tag >= TASK_TAG_BASE {
-            if let Some(done) = self.running.remove(&tag) {
-                ctx.send(
-                    self.broker(),
-                    OverlayMsg::TaskResult {
-                        task: done.id,
-                        success: true,
-                        exec_secs: done.exec_secs,
-                    },
-                );
-            }
+            self.inbound.on_timer(ctx, tag, self.broker());
             return;
         }
         let session = (tag / 2) as usize;
@@ -488,7 +399,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
                 self.bump(ctx, |c| c.leaves);
             }
             self.state = LifecycleState::Departed;
-            self.inbound.clear();
+            self.inbound.drop_inbound();
             // Outstanding probe timers die as stale tags.
             self.probe_epoch += 1;
         }
@@ -498,6 +409,14 @@ impl Actor<OverlayMsg> for LifecyclePeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
+    use netsim::link::{AccessLink, PathSpec};
+    use netsim::node::NodeSpec;
+    use netsim::prelude::*;
+
+    use crate::filetransfer::FileMeta;
+    use crate::id::{ContentId, GroupId, TransferId};
 
     #[test]
     fn sampled_scripts_are_deterministic_and_cover_horizon() {
@@ -585,5 +504,130 @@ mod tests {
         assert_eq!(p.broker(), NodeId(9));
         p.home_idx += 2;
         assert_eq!(p.broker(), NodeId(4), "preference list wraps");
+    }
+
+    /// Plays the broker towards one lifecycle peer: acks its join, then
+    /// petitions a two-part transfer and sends part 1 a second ahead of
+    /// part 0, keeping every confirm it gets back.
+    struct GapSender {
+        ids: IdGenerator,
+        transfer: Option<TransferId>,
+        confirms: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl Actor<OverlayMsg> for GapSender {
+        fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
+            match msg {
+                OverlayMsg::Join(_) => {
+                    let group = GroupId::generate(&mut self.ids);
+                    ctx.send(from, OverlayMsg::JoinAck { group });
+                    ctx.schedule_timer(SimDuration::from_secs(1), 0);
+                }
+                OverlayMsg::PetitionAck {
+                    transfer,
+                    accepted: true,
+                    ..
+                } => {
+                    let part = |index| OverlayMsg::FilePart {
+                        transfer,
+                        index,
+                        size: 1_000,
+                    };
+                    ctx.send(from, part(1));
+                    ctx.schedule_timer(SimDuration::from_secs(1), 1);
+                }
+                OverlayMsg::PartConfirm { index, .. } => self.confirms.lock().unwrap().push(index),
+                _ => {}
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<OverlayMsg>, _timer: TimerId, tag: u64) {
+            let peer = NodeId(1);
+            if tag == 0 {
+                let transfer = TransferId::generate(&mut self.ids);
+                self.transfer = Some(transfer);
+                let file = FileMeta {
+                    content: ContentId::generate(&mut self.ids),
+                    name: "gap.bin".into(),
+                    size_bytes: 2_000,
+                };
+                let sent_at = ctx.now();
+                ctx.send(
+                    peer,
+                    OverlayMsg::FilePetition {
+                        transfer,
+                        file,
+                        num_parts: 2,
+                        sent_at,
+                    },
+                );
+            } else if let Some(transfer) = self.transfer {
+                let part = OverlayMsg::FilePart {
+                    transfer,
+                    index: 0,
+                    size: 1_000,
+                };
+                ctx.send(peer, part);
+            }
+        }
+    }
+
+    #[test]
+    fn connected_peer_rejects_a_gap_part_and_traces_it() {
+        let mut topo = Topology::new();
+        let sender = topo.add_node(
+            NodeSpec::responsive("sender"),
+            AccessLink::symmetric_mbps(80.0, 0.0001),
+        );
+        let peer = topo.add_node(
+            NodeSpec::responsive("peer"),
+            AccessLink::symmetric_mbps(8.0, 0.0003),
+        );
+        assert_eq!(peer, NodeId(1));
+        topo.set_path_symmetric(sender, peer, PathSpec::from_owd_ms(20.0, 0.0));
+        let mut engine = Engine::new(topo, TransportConfig::default(), 5);
+        engine.enable_trace(1 << 12);
+        let confirms = Arc::new(Mutex::new(Vec::new()));
+        engine.register(
+            sender,
+            Box::new(GapSender {
+                ids: IdGenerator::new(11),
+                transfer: None,
+                confirms: confirms.clone(),
+            }),
+        );
+        let cfg = LifecycleConfig {
+            brokers: vec![sender],
+            script: LifecycleScript {
+                arrival: SimDuration::ZERO,
+                sessions: vec![SessionPlan {
+                    length: SimDuration::from_secs(600),
+                    off_time: SimDuration::ZERO,
+                    cpu_gops: 1.0,
+                }],
+            },
+            accepts_tasks: true,
+            failover: None,
+        };
+        engine.register(peer, Box::new(LifecyclePeer::new(cfg, 3)));
+        engine.run_until(SimTime::from_secs_f64(60.0));
+
+        assert_eq!(
+            *confirms.lock().unwrap(),
+            vec![0],
+            "part 0 is confirmed, the gap part 1 never is"
+        );
+        let gaps: Vec<_> = engine
+            .trace()
+            .events()
+            .filter(|e| e.node == peer)
+            .filter_map(|e| match e.kind {
+                TraceEventKind::PartGap {
+                    index, expected, ..
+                } => Some((index, expected)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gaps, vec![(1, 0)], "one part_gap: index 1 while 0 was due");
     }
 }

@@ -30,7 +30,7 @@ use netsim::metrics::{MetricId, Metrics};
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
-use crate::advertisement::{PeerAdvertisement, DEFAULT_LIFETIME};
+use crate::advertisement::PeerAdvertisement;
 use crate::id::{IdGenerator, PeerId};
 use crate::message::OverlayMsg;
 use crate::records::{RecordSink, StreamRecord};
@@ -413,15 +413,7 @@ impl Actor<OverlayMsg> for StreamingClient {
     fn on_timer(&mut self, ctx: &mut Context<OverlayMsg>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_JOIN => {
-                let adv = PeerAdvertisement {
-                    peer: self.peer_id,
-                    node: ctx.self_id(),
-                    name: ctx.node_name(ctx.self_id()).to_string(),
-                    cpu_gops: self.cfg.cpu_gops,
-                    accepts_tasks: false,
-                    published: ctx.now(),
-                    lifetime: DEFAULT_LIFETIME,
-                };
+                let adv = PeerAdvertisement::join(ctx, self.peer_id, self.cfg.cpu_gops, false);
                 ctx.send(self.cfg.broker, OverlayMsg::Join(adv));
             }
             TAG_PLAY => {

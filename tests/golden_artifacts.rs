@@ -55,6 +55,12 @@ const FIG5_SHARDED_GOLDEN: &str = include_str!("goldens/fig5_sharded.txt");
 /// one-shard series CSV followed by the Prometheus exposition.
 const PROFILE_FIG5_GOLDEN: &str = include_str!("goldens/profile_fig5.txt");
 
+/// As [`FIG5_LOSSY_GOLDEN`] for the `churn` scenario at seed 7: SC3 leaves
+/// at 90 s and rejoins at 180 s, SC5 leaves for good, and the broker
+/// distributes a file before and after. Pins the SimpleClient receive path
+/// across a leave/rejoin (`psim trace churn --seed 7` plus the metrics).
+const CHURN_SCENARIO_GOLDEN: &str = include_str!("goldens/churn_scenario.txt");
+
 const SEED: u64 = 11;
 
 /// Asserts `artifact == golden` with a diagnosis that names the first
@@ -195,6 +201,17 @@ fn lossy_scenario_artifact_matches_pre_harness_golden() {
         1,
         &traced_artifact(&cfg, 7),
         FIG5_LOSSY_GOLDEN,
+    );
+}
+
+#[test]
+fn churn_scenario_artifact_matches_golden() {
+    let cfg = ScenarioConfig::named("churn").expect("a named scenario");
+    assert_matches_golden(
+        "churn scenario",
+        1,
+        &traced_artifact(&cfg, 7),
+        CHURN_SCENARIO_GOLDEN,
     );
 }
 

@@ -151,3 +151,38 @@ fn harness_modules_stay_under_the_tight_cap() {
         );
     }
 }
+
+/// The receiving side of the transfer protocol lives in one module,
+/// `overlay::recvflow`, that every work-serving peer composes. A second
+/// file constructing `InboundTransfer` is a second receive path, and two
+/// copies drift (one once stopped tracing rejected gap parts).
+/// `filetransfer.rs` defines the type and unit-tests it, so it is not
+/// counted.
+#[test]
+fn one_receive_path_constructs_inbound_transfers() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let src = root.join("crates/overlay/src");
+    let mut files = Vec::new();
+    rust_files_under(&src, &mut files);
+    files.sort();
+    let constructors: Vec<String> = files
+        .iter()
+        .filter(|path| !path.ends_with("filetransfer.rs"))
+        .filter(|path| {
+            fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+                .contains("InboundTransfer::new")
+        })
+        .map(|path| {
+            path.strip_prefix(&src)
+                .unwrap_or(path)
+                .display()
+                .to_string()
+        })
+        .collect();
+    assert_eq!(
+        constructors,
+        vec!["recvflow.rs".to_string()],
+        "receive state must be opened only by the shared ReceiverFlow"
+    );
+}
